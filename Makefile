@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet altovet vet-stats vet-baseline test race bench bench-diff trace-check scope-check fleet-check cluster-check crash-check fmt
+.PHONY: check build vet altovet vet-stats vet-baseline test race bench bench-diff trace-check scope-check determinism-check crash-check fmt
 
-check: build vet altovet vet-stats trace-check scope-check fleet-check cluster-check crash-check race bench-diff
+check: build vet altovet vet-stats trace-check scope-check determinism-check crash-check race bench-diff
 
 build:
 	$(GO) build ./...
@@ -53,21 +53,20 @@ scope-check:
 	$(GO) run ./cmd/altoscope -experiment e10 -check
 	$(GO) run ./cmd/altoscope -experiment e13 -events 8192 -check
 
-# fleet-check guards the parallel scheduler's contract: altofleet builds, and
-# a 100-Alto fan-in produces byte-identical per-machine event streams and
-# metrics across repeated runs and across worker-pool widths (1 vs 8).
-fleet-check:
-	$(GO) build -o /dev/null ./cmd/altofleet
-	$(GO) run ./cmd/altofleet -check -machines 100 -events 16384
+# determinism-check guards the replay contract (experiments.CheckDeterminism,
+# driven by altofleet -check): each experiment runs twice at one worker and
+# twice at eight, and every machine's event stream and every metric must come
+# out byte-identical, or the run, the machine and the first differing event
+# are named. E10 and E13 are the shared-clock rigs (file server under loss,
+# 24-flow saturation); E14 is the 100-Alto fan-in on the windowed fleet
+# engine; E15 is the sharded, replicated cluster with its audit and heal.
+DETERMINISM_IDS = e10 e13 e14 e15
 
-# cluster-check guards the replicated file service's contract: altocluster
-# builds, and a reduced E15 run (4 shards x 3 replicas, 6 clients, 10% wire
-# loss, seeded rot, distributed audit and heal) produces byte-identical
-# per-machine event streams and metrics across repeated runs and across
-# worker-pool widths (1 vs 8).
-cluster-check:
-	$(GO) build -o /dev/null ./cmd/altocluster
-	$(GO) run ./cmd/altocluster -check -clients 6
+determinism-check:
+	$(GO) build -o /dev/null ./cmd/altofleet
+	for id in $(DETERMINISM_IDS); do \
+		$(GO) run ./cmd/altofleet -check -experiment $$id -events 16384 || exit 1; \
+	done
 
 # crash-check is the §3.5 gate: a sampled sweep of crash points (clean and
 # torn) over the journaled directory workload; altocrash exits non-zero if

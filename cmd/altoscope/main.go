@@ -105,10 +105,14 @@ func main() {
 	}
 }
 
+// fleetWorkers is the scheduler's pool width for fleet experiments (E14,
+// E15); their artifacts are identical at any width.
+const fleetWorkers = 8
+
 // runFleet executes the experiment with one recorder per machine.
 func runFleet(id string, events int) (*experiments.Result, *scope.Fleet, error) {
 	fleet := scope.NewFleet(events)
-	res, err := experiments.RunScoped(id, fleet.Machine)
+	res, err := experiments.RunScoped(id, fleetWorkers, fleet.Machine)
 	if err != nil {
 		return nil, nil, err
 	}

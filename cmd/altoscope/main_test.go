@@ -12,7 +12,7 @@ import (
 func runE10Fleet(t *testing.T) []scope.MachineTrace {
 	t.Helper()
 	fleet := scope.NewFleet(trace.DefaultEvents)
-	if _, err := experiments.RunScoped("e10", fleet.Machine); err != nil {
+	if _, err := experiments.RunScoped("e10", fleetWorkers, fleet.Machine); err != nil {
 		t.Fatal(err)
 	}
 	return fleet.Machines()

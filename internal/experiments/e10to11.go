@@ -18,7 +18,6 @@ import (
 	"altoos/internal/ether"
 	"altoos/internal/file"
 	"altoos/internal/fileserver"
-	"altoos/internal/fleet"
 	"altoos/internal/pup"
 	"altoos/internal/sim"
 	"altoos/internal/trace"
@@ -95,80 +94,69 @@ type netOp struct {
 	data  []byte
 }
 
-// runScripts drives every client through its op list concurrently, as
-// actors on a coupled fleet engine round-robined with the server — the
-// loaded-server shape: one poll per machine per round, many sessions. It
-// returns the number of corrupted fetches (payload mismatches the reliable
-// transport failed to hide) and the total data bytes moved.
+// runScripts drives every client through its op list concurrently,
+// round-robined with the server — the loaded-server shape: one poll per
+// machine per round, many sessions. The run ends after the first round in
+// which no client had an op left. It returns the number of corrupted
+// fetches (payload mismatches the reliable transport failed to hide) and
+// the total data bytes moved.
 func (r *netRig) runScripts(scripts [][]netOp) (corrupt int, bytesMoved int64, err error) {
-	// Round state shared between the actors: machines run one at a time on
-	// a coupled engine, and the exit decision is made between rounds —
-	// exactly the hand-written loop this replaces.
-	running, stop := false, false
-	eng := fleet.NewCoupled(fleet.AfterRound(func() {
-		if !running {
-			stop = true
-		}
-		running = false
-	}))
-	eng.Add(fleet.MachineConfig{Name: "server", Program: func(m *fleet.Machine) error {
-		for !stop {
-			if _, err := r.srv.Poll(); err != nil {
+	running := false
+	polls := []func() error{r.pollServer}
+	for i, c := range r.clients {
+		idx, started := 0, false
+		polls = append(polls, func() error {
+			if _, err := c.Poll(); err != nil {
 				return err
 			}
-			m.Yield()
-		}
-		return nil
-	}})
-	for i := range r.clients {
-		i := i
-		c := r.clients[i]
-		idx, started := 0, false
-		eng.Add(fleet.MachineConfig{Name: fmt.Sprintf("client%d", i), Program: func(m *fleet.Machine) error {
-			for !stop {
-				if _, err := c.Poll(); err != nil {
+			if idx >= len(scripts[i]) {
+				return nil
+			}
+			running = true
+			op := scripts[i][idx]
+			switch {
+			case !started:
+				var err error
+				if op.store {
+					err = c.Store(op.name, op.data)
+				} else {
+					err = c.Fetch(op.name)
+				}
+				if err != nil {
 					return err
 				}
-				if idx < len(scripts[i]) {
-					running = true
-					op := scripts[i][idx]
-					switch {
-					case !started:
-						var err error
-						if op.store {
-							err = c.Store(op.name, op.data)
-						} else {
-							err = c.Fetch(op.name)
-						}
-						if err != nil {
-							return err
-						}
-						started = true
-					case c.Done():
-						got, err := c.Result()
-						if err != nil {
-							return fmt.Errorf("client %d %s %q: %w", i, opName(op), op.name, err)
-						}
-						if !op.store && !bytes.Equal(got, op.data) {
-							corrupt++
-						}
-						bytesMoved += int64(len(op.data))
-						idx++
-						started = false
-					}
+				started = true
+			case c.Done():
+				got, err := c.Result()
+				if err != nil {
+					return fmt.Errorf("client %d %s %q: %w", i, opName(op), op.name, err)
 				}
-				m.Yield()
+				if !op.store && !bytes.Equal(got, op.data) {
+					corrupt++
+				}
+				bytesMoved += int64(len(op.data))
+				idx++
+				started = false
 			}
 			return nil
-		}})
+		})
 	}
-	if err := eng.Run(); err != nil {
-		if errors.Is(err, fleet.ErrRoundCap) {
-			return corrupt, bytesMoved, fmt.Errorf("experiments: transfers never completed")
-		}
-		return corrupt, bytesMoved, err
+	idle := func() bool {
+		was := running
+		running = false
+		return !was
 	}
-	return corrupt, bytesMoved, nil
+	err = roundRobin(runRounds, idle, polls...)
+	if errors.Is(err, errRoundCap) {
+		err = fmt.Errorf("experiments: transfers never completed")
+	}
+	return corrupt, bytesMoved, err
+}
+
+// pollServer is the server machine's activity in a roundRobin loop.
+func (r *netRig) pollServer() error {
+	_, err := r.srv.Poll()
+	return err
 }
 
 func opName(op netOp) string {
@@ -178,54 +166,39 @@ func opName(op netOp) string {
 	return "fetch"
 }
 
-// closeAll closes every client connection and runs a coupled teardown
-// fleet — clients first, server last, the legacy round order — until the
-// server has retired the sessions, so the per-session trace spans are
-// emitted.
+// closeAll closes every client connection and polls clients first, server
+// last, until the server has retired the sessions, so the per-session trace
+// spans are emitted.
 func (r *netRig) closeAll() error {
 	for _, c := range r.clients {
 		if err := c.Close(); err != nil {
 			return err
 		}
 	}
-	open, stop := false, false
-	eng := fleet.NewCoupled(fleet.MaxRounds(1_000_000), fleet.AfterRound(func() {
-		if !open && r.srv.Stats().Active == 0 {
-			stop = true
-		}
-		open = false
-	}))
-	for i, c := range r.clients {
-		c := c
-		eng.Add(fleet.MachineConfig{Name: fmt.Sprintf("client%d", i), Program: func(m *fleet.Machine) error {
-			for !stop {
-				if _, err := c.Poll(); err != nil {
-					return err
-				}
-				if c.Conn().State() != pup.StateClosed {
-					open = true
-				}
-				m.Yield()
-			}
-			return nil
-		}})
-	}
-	eng.Add(fleet.MachineConfig{Name: "server", Program: func(m *fleet.Machine) error {
-		for !stop {
-			if _, err := r.srv.Poll(); err != nil {
+	open := false
+	var polls []func() error
+	for _, c := range r.clients {
+		polls = append(polls, func() error {
+			if _, err := c.Poll(); err != nil {
 				return err
 			}
-			m.Yield()
-		}
-		return nil
-	}})
-	if err := eng.Run(); err != nil {
-		if errors.Is(err, fleet.ErrRoundCap) {
-			return fmt.Errorf("experiments: sessions never closed")
-		}
-		return err
+			if c.Conn().State() != pup.StateClosed {
+				open = true
+			}
+			return nil
+		})
 	}
-	return nil
+	polls = append(polls, r.pollServer)
+	closed := func() bool {
+		was := open
+		open = false
+		return !was && r.srv.Stats().Active == 0
+	}
+	err := roundRobin(teardownRounds, closed, polls...)
+	if errors.Is(err, errRoundCap) {
+		return fmt.Errorf("experiments: sessions never closed")
+	}
+	return err
 }
 
 // netPattern builds deterministic transfer content.
@@ -252,8 +225,9 @@ func e10LoadedServer(tr *trace.Recorder) (*Result, error) {
 }
 
 // e10Scoped is the fleet-aware entry point (cmd/altoscope): every machine
-// gets its own recorder, merged afterwards by internal/scope.
-func e10Scoped(machine func(string) *trace.Recorder) (*Result, error) {
+// gets its own recorder, merged afterwards by internal/scope. The rig runs
+// on one shared clock, so there is no worker pool to size.
+func e10Scoped(_ int, machine func(string) *trace.Recorder) (*Result, error) {
 	return e10Run(machine)
 }
 

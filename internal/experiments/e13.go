@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"altoos/internal/ether"
-	"altoos/internal/fleet"
 	"altoos/internal/pup"
 	"altoos/internal/sim"
 	"altoos/internal/trace"
@@ -45,8 +44,9 @@ func e13Saturation(tr *trace.Recorder) (*Result, error) {
 }
 
 // e13Scoped is the fleet-aware entry point (cmd/altoscope): the wire, the
-// sink and all 24 senders each trace into their own recorder.
-func e13Scoped(machine func(string) *trace.Recorder) (*Result, error) {
+// sink and all 24 senders each trace into their own recorder. The rig runs
+// on one shared clock, so there is no worker pool to size.
+func e13Scoped(_ int, machine func(string) *trace.Recorder) (*Result, error) {
 	return e13Run(machine)
 }
 
@@ -112,88 +112,78 @@ func e13Run(machine func(string) *trace.Recorder) (*Result, error) {
 		senders[i] = &sender{ep: ep, conn: conn}
 	}
 
-	// Drive everything as actors on a coupled fleet engine: the sink
-	// accepts and drains, each sender keeps its window full until its
-	// stream is done, one activation per machine per round in creation
-	// order — the hand-written poll loop this replaces. Per-flow completion
-	// is the sim time the sink delivered the flow's last message, in order
-	// and intact.
+	// Drive everything round-robin on the shared clock: the sink accepts
+	// and drains, each sender keeps its window full until its stream is
+	// done, one poll per machine per round. Per-flow completion is the sim
+	// time the sink delivered the flow's last message, in order and intact.
 	accepted := make([]*pup.Conn, e13Senders)
 	delivered := make([]int, e13Senders)
 	completion := make([]time.Duration, e13Senders)
 	finished, corrupt := 0, 0
 	msg := make([]ether.Word, e13MsgWords)
-	stop := false
-	eng := fleet.NewCoupled(fleet.AfterRound(func() {
-		if finished >= e13Senders {
-			stop = true
+	pollSink := func() error {
+		_, err := sink.Poll()
+		return err
+	}
+	polls := []func() error{func() error {
+		if err := pollSink(); err != nil {
+			return err
 		}
-	}))
-	eng.Add(fleet.MachineConfig{Name: "sink", Program: func(m *fleet.Machine) error {
-		for !stop {
-			if _, err := sink.Poll(); err != nil {
-				return err
+		for {
+			conn, ok := sink.Accept()
+			if !ok {
+				break
+			}
+			accepted[int(conn.Remote())-2] = conn
+		}
+		for i, conn := range accepted {
+			if conn == nil {
+				continue
 			}
 			for {
-				conn, ok := sink.Accept()
+				data, ok := conn.Recv()
 				if !ok {
 					break
 				}
-				accepted[int(conn.Remote())-2] = conn
-			}
-			for i, conn := range accepted {
-				if conn == nil {
-					continue
-				}
-				for {
-					data, ok := conn.Recv()
-					if !ok {
-						break
-					}
-					if len(data) != e13MsgWords {
-						corrupt++
-					} else {
-						for j, w := range data {
-							if w != e13Word(i, delivered[i], j) {
-								corrupt++
-								break
-							}
+				if len(data) != e13MsgWords {
+					corrupt++
+				} else {
+					for j, w := range data {
+						if w != e13Word(i, delivered[i], j) {
+							corrupt++
+							break
 						}
 					}
-					delivered[i]++
-					if delivered[i] == e13Messages {
-						completion[i] = clock.Now()
-						finished++
-					}
+				}
+				delivered[i]++
+				if delivered[i] == e13Messages {
+					completion[i] = clock.Now()
+					finished++
 				}
 			}
-			m.Yield()
 		}
 		return nil
-	}})
+	}}
 	for i, s := range senders {
-		i, s := i, s
-		eng.Add(fleet.MachineConfig{Name: fmt.Sprintf("sender%02d", i), Program: func(m *fleet.Machine) error {
-			for !stop {
-				if _, err := s.ep.Poll(); err != nil {
-					return err
+		polls = append(polls, func() error {
+			if _, err := s.ep.Poll(); err != nil {
+				return err
+			}
+			for s.sent < e13Messages && s.conn.Avail() > 0 {
+				for j := range msg {
+					msg[j] = e13Word(i, s.sent, j)
 				}
-				for s.sent < e13Messages && s.conn.Avail() > 0 {
-					for j := range msg {
-						msg[j] = e13Word(i, s.sent, j)
-					}
-					if err := s.conn.Send(msg); err != nil {
-						return fmt.Errorf("e13 sender %d: %w", i, err)
-					}
-					s.sent++
+				if err := s.conn.Send(msg); err != nil {
+					return fmt.Errorf("e13 sender %d: %w", i, err)
 				}
-				m.Yield()
+				s.sent++
 			}
 			return nil
-		}})
+		})
 	}
-	if err := eng.Run(); err != nil {
-		if errors.Is(err, fleet.ErrRoundCap) {
+	allDone := func() bool { return finished >= e13Senders }
+	if err := roundRobin(runRounds, allDone, polls...); err != nil {
+		if errors.Is(err, errRoundCap) {
 			return nil, fmt.Errorf("e13: saturation run never completed (%d/%d flows)", finished, e13Senders)
 		}
 		return nil, err
@@ -204,45 +194,33 @@ func e13Run(machine func(string) *trace.Recorder) (*Result, error) {
 	}
 
 	// Tear down cleanly so the conns' final state is part of the trace:
-	// senders first, sink last, the legacy round order.
+	// senders first, sink last.
 	for _, s := range senders {
 		if err := s.conn.Close(); err != nil {
 			return nil, err
 		}
 	}
-	open, closed := false, false
-	down := fleet.NewCoupled(fleet.MaxRounds(1_000_000), fleet.AfterRound(func() {
-		if !open {
-			closed = true
-		}
-		open = false
-	}))
-	for i, s := range senders {
-		s := s
-		down.Add(fleet.MachineConfig{Name: fmt.Sprintf("sender%02d", i), Program: func(m *fleet.Machine) error {
-			for !closed {
-				if _, err := s.ep.Poll(); err != nil {
-					return err
-				}
-				if s.conn.State() != pup.StateClosed {
-					open = true
-				}
-				m.Yield()
-			}
-			return nil
-		}})
-	}
-	down.Add(fleet.MachineConfig{Name: "sink", Program: func(m *fleet.Machine) error {
-		for !closed {
-			if _, err := sink.Poll(); err != nil {
+	open := false
+	var down []func() error
+	for _, s := range senders {
+		down = append(down, func() error {
+			if _, err := s.ep.Poll(); err != nil {
 				return err
 			}
-			m.Yield()
-		}
-		return nil
-	}})
-	if err := down.Run(); err != nil {
-		if errors.Is(err, fleet.ErrRoundCap) {
+			if s.conn.State() != pup.StateClosed {
+				open = true
+			}
+			return nil
+		})
+	}
+	down = append(down, pollSink)
+	closed := func() bool {
+		was := open
+		open = false
+		return !was
+	}
+	if err := roundRobin(teardownRounds, closed, down...); err != nil {
+		if errors.Is(err, errRoundCap) {
 			return nil, fmt.Errorf("e13: close handshakes never completed")
 		}
 		return nil, err

@@ -31,9 +31,6 @@ const (
 	// e14Machines is the default fleet size: one server plus this many
 	// client Altos.
 	e14Machines = 100
-	// e14Workers is the scoped (cmd/altoscope, cmd/altofleet) worker-pool
-	// width; the schedule is identical at any width.
-	e14Workers = 8
 	// e14BootStagger separates the client boot wakes so the event queue
 	// tie-breaks on time, not only on machine sequence.
 	e14BootStagger = 160 * time.Nanosecond
@@ -81,10 +78,10 @@ func e14FleetFanIn(rec *trace.Recorder) (*Result, error) {
 }
 
 // e14Scoped is the fleet-aware entry (cmd/altoscope, cmd/altofleet): one
-// recorder per machine, and the full worker pool — per-machine recorders are
-// only ever written by their own machine, so parallel windows are safe.
-func e14Scoped(machine func(string) *trace.Recorder) (*Result, error) {
-	return E14FanIn(e14Machines, e14Workers, machine)
+// recorder per machine, at the caller's pool width — per-machine recorders
+// are only ever written by their own machine, so parallel windows are safe.
+func e14Scoped(workers int, machine func(string) *trace.Recorder) (*Result, error) {
+	return E14FanIn(e14Machines, workers, machine)
 }
 
 // E14FanIn runs machines client Altos against one file server on a windowed

@@ -41,9 +41,6 @@ const (
 	// e15RotSectors is how many user-data sectors rot on each shard's
 	// designated victim replica between the load and audit phases.
 	e15RotSectors = 2
-	// e15Workers is the scoped worker-pool width; the schedule is identical
-	// at any width.
-	e15Workers = 8
 	// e15BootStagger separates client boot wakes; e15AuditStagger separates
 	// the replicas' first audit deadlines so rounds interleave.
 	e15BootStagger  = 160 * time.Nanosecond
@@ -88,9 +85,10 @@ func e15ClusterAudit(rec *trace.Recorder) (*Result, error) {
 	return E15Cluster(e15Clients, 1, func(string) *trace.Recorder { return rec })
 }
 
-// e15Scoped is the fleet-aware entry: one recorder per machine, full pool.
-func e15Scoped(machine func(string) *trace.Recorder) (*Result, error) {
-	return E15Cluster(e15Clients, e15Workers, machine)
+// e15Scoped is the fleet-aware entry: one recorder per machine, so any
+// pool width is safe.
+func e15Scoped(workers int, machine func(string) *trace.Recorder) (*Result, error) {
+	return E15Cluster(e15Clients, workers, machine)
 }
 
 // E15Cluster runs the two-phase cluster experiment: a load phase (clients

@@ -134,12 +134,13 @@ var _ = sim.NewRand // keep the import set stable across experiment files
 // drivers (cmd/altotrace) that run experiments by id with tracing on.
 // Scoped, when set, is the fleet-aware variant: it draws one recorder per
 // simulated machine from the supplied function (cmd/altoscope passes
-// scope.Fleet.Machine) instead of tracing everything into one stream.
+// scope.Fleet.Machine) instead of tracing everything into one stream, and
+// runs the fleet engine at the given worker-pool width.
 type Runner struct {
 	ID     string
 	Title  string
 	Run    func(rec *trace.Recorder) (*Result, error)
-	Scoped func(machine func(string) *trace.Recorder) (*Result, error)
+	Scoped func(workers int, machine func(string) *trace.Recorder) (*Result, error)
 }
 
 // registry lists every experiment in order. The Run functions are the
@@ -171,29 +172,38 @@ func IDs() []string {
 	return out
 }
 
+// lookup finds the registry entry for id (case-insensitive).
+func lookup(id string) (Runner, error) {
+	for _, r := range registry {
+		if strings.EqualFold(r.ID, id) {
+			return r, nil
+		}
+	}
+	return Runner{}, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
+}
+
 // Run executes the experiment with the given id (case-insensitive), with
 // every drive it builds emitting into rec (nil: tracing off).
 func Run(id string, rec *trace.Recorder) (*Result, error) {
-	for _, r := range registry {
-		if strings.EqualFold(r.ID, id) {
-			return r.Run(rec)
-		}
+	r, err := lookup(id)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
+	return r.Run(rec)
 }
 
 // RunScoped executes the experiment with per-machine recorders drawn from
-// machine (name → recorder; scope.Fleet.Machine is the canonical source).
-// Experiments without a fleet-aware variant run whole on one machine named
-// "machine", so every experiment remains drivable from cmd/altoscope.
-func RunScoped(id string, machine func(string) *trace.Recorder) (*Result, error) {
-	for _, r := range registry {
-		if strings.EqualFold(r.ID, id) {
-			if r.Scoped != nil {
-				return r.Scoped(machine)
-			}
-			return r.Run(machine("machine"))
-		}
+// machine (name → recorder; scope.Fleet.Machine is the canonical source),
+// on a fleet engine of the given worker-pool width. Experiments without a
+// fleet-aware variant run whole on one machine named "machine", so every
+// experiment remains drivable from cmd/altoscope and cmd/altofleet.
+func RunScoped(id string, workers int, machine func(string) *trace.Recorder) (*Result, error) {
+	r, err := lookup(id)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
+	if r.Scoped != nil {
+		return r.Scoped(workers, machine)
+	}
+	return r.Run(machine("machine"))
 }

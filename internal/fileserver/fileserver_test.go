@@ -83,7 +83,7 @@ func pattern(n, salt int) []byte {
 }
 
 func TestStoreAndFetch(t *testing.T) {
-	_, srv, clients, _ := fixture(t, 1)
+	wire, srv, clients, _ := fixture(t, 1)
 	c := clients[0]
 
 	// A multi-page file: exercises the chained interior-page paths.
@@ -91,15 +91,25 @@ func TestStoreAndFetch(t *testing.T) {
 	if err := c.Store("alpha", want); err != nil {
 		t.Fatal(err)
 	}
+	// One transfer at a time per client: a second request while the
+	// store is in flight is refused.
+	if err := c.Fetch("alpha"); !errors.Is(err, ErrBusy) {
+		t.Fatalf("request while busy: got %v, want ErrBusy", err)
+	}
 	pump(t, srv, clients)
 	if _, err := c.Result(); err != nil {
 		t.Fatalf("store: %v", err)
 	}
 
+	// The fetch crosses the wire, so it costs time on the shared clock.
+	before := wire.Clock().Now()
 	if err := c.Fetch("alpha"); err != nil {
 		t.Fatal(err)
 	}
 	pump(t, srv, clients)
+	if wire.Clock().Now() == before {
+		t.Fatal("fetch charged no simulated time")
+	}
 	got, err := c.Result()
 	if err != nil {
 		t.Fatalf("fetch: %v", err)
@@ -152,6 +162,8 @@ func TestOverwriteShrinkAndGrow(t *testing.T) {
 		pattern(2*disk.PageBytes, 4),
 		pattern(17, 5),
 		{},
+		// Many messages, the last one partial.
+		pattern(3*DataBytesPerMsg+123, 6),
 	}
 	for i, want := range cases {
 		store("beta", want)

@@ -16,12 +16,6 @@
 // certified by the window horizon (see Network.SetHorizon), a run is
 // byte-identically replayable across repeated runs and across -workers
 // counts.
-//
-// The engine also runs in coupled mode (NewCoupled): all machines share one
-// clock and are stepped round-robin in creation order, one activation per
-// round. That is exactly the hand-interleaved polling loop the experiments
-// used to write out longhand, so existing experiments port onto the
-// substrate as actors without changing their simulated-time results.
 package fleet
 
 import (
@@ -41,9 +35,13 @@ import (
 // drains, for daemons).
 const never = time.Duration(1<<63 - 1)
 
+// maxWindows bounds the number of windows an engine opens before it gives
+// up with ErrRoundCap.
+const maxWindows = 4_000_000
+
 // Errors.
 var (
-	// ErrRoundCap reports that the engine exceeded its round budget
+	// ErrRoundCap reports that the engine exceeded its window budget
 	// without the fleet finishing.
 	ErrRoundCap = errors.New("fleet: round cap exceeded")
 	// ErrStalled reports a fleet where some non-daemon machine blocked
@@ -54,11 +52,8 @@ var (
 
 // Engine schedules a set of machines over simulated time.
 type Engine struct {
-	coupled    bool
-	lookahead  time.Duration
 	workers    int
-	maxRounds  int
-	afterRound func()
+	maxWindows int // window budget: maxWindows, lowered only by tests
 	net        *ether.Network
 
 	machines []*Machine
@@ -82,37 +77,6 @@ func Workers(n int) Option {
 	}
 }
 
-// Lookahead overrides the window width (default ether.MinLatency). It must
-// not exceed the true minimum propagation latency of the medium the fleet
-// communicates over, or causality can be violated.
-func Lookahead(d time.Duration) Option {
-	return func(e *Engine) {
-		if d > 0 {
-			e.lookahead = d
-		}
-	}
-}
-
-// MaxRounds bounds the number of scheduling rounds (windows, or coupled
-// round-robin sweeps) before the engine gives up with ErrRoundCap. The
-// default is 4,000,000 — the poll budget the hand-written experiment loops
-// used.
-func MaxRounds(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.maxRounds = n
-		}
-	}
-}
-
-// AfterRound installs a hook called at the end of every coupled round, the
-// place legacy experiment loops made their exit decisions. Machines observe
-// the outcome (typically a shared stop flag) at the top of their next
-// activation.
-func AfterRound(f func()) Option {
-	return func(e *Engine) { e.afterRound = f }
-}
-
 // Medium hands the engine the network the fleet communicates over. The
 // engine switches it into fleet mode and publishes every window's horizon
 // to it, which is what gates deliveries to certified arrivals.
@@ -122,11 +86,7 @@ func Medium(n *ether.Network) Option {
 
 // New creates a windowed (parallel lockstep) engine.
 func New(opts ...Option) *Engine {
-	e := &Engine{
-		lookahead: ether.MinLatency,
-		workers:   1,
-		maxRounds: 4_000_000,
-	}
+	e := &Engine{workers: 1, maxWindows: maxWindows}
 	for _, o := range opts {
 		o(e)
 	}
@@ -136,21 +96,12 @@ func New(opts ...Option) *Engine {
 	return e
 }
 
-// NewCoupled creates a coupled (shared-clock, round-robin) engine.
-func NewCoupled(opts ...Option) *Engine {
-	e := &Engine{coupled: true, workers: 1, maxRounds: 4_000_000}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
-}
-
 // Add registers a machine with the engine. Machines are stepped and
 // tie-broken in creation order; creation order is part of the schedule and
 // must itself be deterministic.
 func (e *Engine) Add(cfg MachineConfig) *Machine {
-	if !e.coupled && cfg.Clock == nil {
-		panic("fleet: windowed machines require their own Clock")
+	if cfg.Clock == nil {
+		panic("fleet: machines require their own Clock")
 	}
 	var sts []*ether.Station
 	if cfg.Station != nil {
@@ -184,43 +135,11 @@ func (e *Engine) Run() (err error) {
 			m.runner()
 		}(m)
 	}
-	if e.coupled {
-		err = e.loopCoupled()
-	} else {
-		err = e.loopWindows()
-	}
-	if err != nil {
+	if err = e.loopWindows(); err != nil {
 		e.abortAll()
 	}
 	e.wg.Wait()
 	return err
-}
-
-// loopCoupled steps every live machine once per round, in creation order,
-// exactly as the hand-written experiment loops did.
-func (e *Engine) loopCoupled() error {
-	for round := 0; ; round++ {
-		if round >= e.maxRounds {
-			return fmt.Errorf("%w after %d rounds", ErrRoundCap, round)
-		}
-		live := false
-		for _, m := range e.machines {
-			if m.done {
-				continue
-			}
-			live = true
-			e.stepAt(m, 0)
-			if m.done && m.err != nil {
-				return m.err
-			}
-		}
-		if !live {
-			return nil
-		}
-		if e.afterRound != nil {
-			e.afterRound()
-		}
-	}
 }
 
 // loopWindows is the conservative parallel schedule: order pending wakes,
@@ -231,7 +150,7 @@ func (e *Engine) loopWindows() error {
 		if live == 0 {
 			return nil
 		}
-		if round >= e.maxRounds {
+		if round >= e.maxWindows {
 			return fmt.Errorf("%w after %d windows", ErrRoundCap, round)
 		}
 		if len(batch) == 0 {
@@ -256,7 +175,7 @@ func (e *Engine) loopWindows() error {
 			}
 			return fmt.Errorf("%w: %s blocked forever", ErrStalled, e.liveNames())
 		}
-		horizon := batch[0].effWake + e.lookahead
+		horizon := batch[0].effWake + ether.MinLatency
 		e.horizon = horizon
 		if e.net != nil {
 			e.net.SetHorizon(horizon)

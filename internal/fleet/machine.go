@@ -11,9 +11,8 @@ import (
 type MachineConfig struct {
 	// Name identifies the machine in errors and diagnostics.
 	Name string
-	// Clock is the machine's own clock. Required in windowed mode, where
-	// each machine carries its local time; leave nil in coupled mode,
-	// where every machine shares the rig's clock.
+	// Clock is the machine's own clock (required): each machine carries
+	// its local time.
 	Clock *sim.Clock
 	// Station is the machine's ether attachment, if any. The engine reads
 	// its earliest scheduled arrival at every barrier so a machine blocked
@@ -31,7 +30,7 @@ type MachineConfig struct {
 	// StartAt is the machine's first wake time — the boot stagger.
 	StartAt time.Duration
 	// Program is the machine's life: called once on first wake, it runs
-	// until it parks (Sync, Idle, Yield) or returns. Its error fails the
+	// until it parks (Sync, Idle) or returns. Its error fails the
 	// whole fleet.
 	Program func(*Machine) error
 }
@@ -78,24 +77,12 @@ type Machine struct {
 // Name returns the machine's name.
 func (m *Machine) Name() string { return m.name }
 
-// Clock returns the machine's clock (nil for coupled machines, which share
-// the rig's).
+// Clock returns the machine's clock.
 func (m *Machine) Clock() *sim.Clock { return m.clock }
 
 // Draining reports whether the fleet is shutting down: every non-daemon
 // machine has finished and the engine has woken the daemons to exit.
 func (m *Machine) Draining() bool { return m.draining }
-
-// Yield parks the machine until the schedule comes back around: next round
-// in coupled mode, or a wake at the machine's current time in windowed
-// mode. It is the cooperative "give the others a turn" point.
-func (m *Machine) Yield() {
-	if m.clock == nil {
-		m.park(0)
-		return
-	}
-	m.park(m.clock.Now())
-}
 
 // Sync parks the machine if its local clock has reached the window horizon.
 // The actor contract: call Sync before every observation of the ether. A
@@ -104,9 +91,6 @@ func (m *Machine) Yield() {
 // window catch up, or it would poll for packets that concurrently running
 // machines may not have sent yet.
 func (m *Machine) Sync() {
-	if m.clock == nil {
-		return
-	}
 	for m.clock.Now() >= m.horizon {
 		m.park(m.clock.Now())
 	}
@@ -117,10 +101,6 @@ func (m *Machine) Sync() {
 // next delivery scheduled for its station, which the engine watches on the
 // machine's behalf. Call it when a poll did no work.
 func (m *Machine) Idle() {
-	if m.clock == nil {
-		m.park(0)
-		return
-	}
 	wake := never
 	if d, ok := m.clock.NextWake(); ok {
 		m.clock.ClearWake()
@@ -150,7 +130,7 @@ func (m *Machine) park(wake time.Duration) {
 func (m *Machine) apply(msg resumeMsg) {
 	m.draining = msg.draining
 	m.horizon = msg.horizon
-	if m.clock != nil && msg.wake < never {
+	if msg.wake < never {
 		m.clock.AdvanceTo(msg.wake)
 	}
 }
