@@ -6,10 +6,10 @@
 // Every run is a pure function of the experiment: byte-identical across
 // repeated runs and across -workers counts. -check proves it
 // (experiments.CheckDeterminism): the experiment runs twice at one worker
-// and twice at eight, and every per-machine event stream and every metric
-// must come out byte-identical, or the process exits nonzero naming the
-// run, the machine and the first differing event. That is the make
-// determinism-check gate.
+// and twice at eight, and every machine's event stream, every machine's
+// metrics snapshot and every result metric must come out byte-identical, or
+// the process exits nonzero naming the run, the machine and the first
+// difference. That is the make determinism-check gate.
 //
 // Usage:
 //
@@ -56,7 +56,7 @@ func main() {
 	}
 
 	fl := scope.NewFleet(*events)
-	res, err := experiments.RunScoped(*experiment, *workers, fl.Machine)
+	res, err := experiments.Run(*experiment, *workers, fl.Machine)
 	if err != nil {
 		log.Fatalf("altofleet: %v", err)
 	}

@@ -11,14 +11,16 @@
 //   - <id>.profile.txt: the fleet-aggregated top table by self time;
 //   - <id>.metrics.txt: each machine's counters and histograms.
 //
-// Every artifact is a deterministic function of the workload: byte-identical
-// across runs, merge input orders and -workers counts. -check proves it by
-// running everything twice and comparing, which is the make scope-check gate.
+// Any experiment id runs: one that simulates a single machine renders as a
+// fleet of one machine named "machine". Every artifact is a pure function of
+// the machines' event streams and metrics snapshots, which make
+// determinism-check proves byte-identical across runs and fleet widths, and
+// of nothing else: merge input order and -workers do not reach the bytes.
 //
 // Usage:
 //
 //	altoscope -experiment e10 -out .
-//	altoscope -experiment e10 -check
+//	altoscope -experiment e1 -out /tmp
 //	altoscope -list
 package main
 
@@ -45,19 +47,11 @@ func main() {
 		top        = flag.Int("top", 20, "rows in the top-by-self-time table")
 		events     = flag.Int("events", trace.DefaultEvents, "per-machine ring capacity in events")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
-		check      = flag.Bool("check", false, "run twice and fail unless all artifacts are byte-identical")
 	)
 	flag.Parse()
 
 	if *list {
 		fmt.Println(strings.Join(experiments.IDs(), "\n"))
-		return
-	}
-	if *check {
-		if err := selfCheck(*experiment, *events, *top); err != nil {
-			log.Fatalf("altoscope: %v", err)
-		}
-		fmt.Printf("scope-check ok: %s artifacts byte-identical across runs, merge orders and worker counts\n", *experiment)
 		return
 	}
 
@@ -105,14 +99,14 @@ func main() {
 	}
 }
 
-// fleetWorkers is the scheduler's pool width for fleet experiments (E14,
-// E15); their artifacts are identical at any width.
+// fleetWorkers is the pool width of the fleet engine (E14, E15) and the
+// crash explorer (E12); their artifacts are identical at any width.
 const fleetWorkers = 8
 
 // runFleet executes the experiment with one recorder per machine.
 func runFleet(id string, events int) (*experiments.Result, *scope.Fleet, error) {
 	fleet := scope.NewFleet(events)
-	res, err := experiments.RunScoped(id, fleetWorkers, fleet.Machine)
+	res, err := experiments.Run(id, fleetWorkers, fleet.Machine)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -143,54 +137,4 @@ func metricsText(machines []scope.MachineTrace) []byte {
 		b.WriteString(m.Rec.Snapshot().Text())
 	}
 	return b.Bytes()
-}
-
-// selfCheck is the scope-check gate: the experiment runs twice on fresh
-// fleets, and every artifact must come out byte-identical across the two
-// runs, across merge input orders (reversed machine list), and across
-// worker counts (1 vs 8).
-func selfCheck(id string, events, top int) error {
-	_, fleet1, err := runFleet(id, events)
-	if err != nil {
-		return err
-	}
-	_, fleet2, err := runFleet(id, events)
-	if err != nil {
-		return err
-	}
-	m1 := fleet1.Machines()
-	m2 := fleet2.Machines()
-	reversed := make([]scope.MachineTrace, len(m1))
-	for i, m := range m1 {
-		reversed[len(m1)-1-i] = m
-	}
-
-	variants := []struct {
-		label    string
-		machines []scope.MachineTrace
-		workers  int
-	}{
-		{"run 1, workers 1", m1, 1},
-		{"run 1, workers 8", m1, 8},
-		{"run 1, reversed merge order", reversed, 4},
-		{"run 2, workers 4", m2, 4},
-	}
-	var base [3][]byte
-	for i, v := range variants {
-		t, c, p, err := render(scope.Merge(v.machines, v.workers), top)
-		if err != nil {
-			return fmt.Errorf("%s: %w", v.label, err)
-		}
-		if i == 0 {
-			base = [3][]byte{t, c, p}
-			continue
-		}
-		for j, pair := range [][2][]byte{{base[0], t}, {base[1], c}, {base[2], p}} {
-			names := [3]string{"merged trace", "collapsed profile", "top table"}
-			if !bytes.Equal(pair[0], pair[1]) {
-				return fmt.Errorf("%s differs between %q and %q", names[j], variants[0].label, v.label)
-			}
-		}
-	}
-	return nil
 }

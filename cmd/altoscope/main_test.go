@@ -1,9 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"testing"
 
-	"altoos/internal/experiments"
 	"altoos/internal/scope"
 	"altoos/internal/trace"
 )
@@ -11,8 +11,8 @@ import (
 // runE10Fleet runs E10 with one recorder per machine.
 func runE10Fleet(t *testing.T) []scope.MachineTrace {
 	t.Helper()
-	fleet := scope.NewFleet(trace.DefaultEvents)
-	if _, err := experiments.RunScoped("e10", fleetWorkers, fleet.Machine); err != nil {
+	_, fleet, err := runFleet("e10", trace.DefaultEvents)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return fleet.Machines()
@@ -122,11 +122,77 @@ func TestE10ProfileAccountsSpanTime(t *testing.T) {
 	}
 }
 
-// TestE10MergedArtifactsAreByteIdentical is the determinism acceptance bar,
-// the same property make scope-check gates from the command line: two runs,
-// reversed merge order and different worker counts, identical bytes.
+// TestE10MergedArtifactsAreByteIdentical: rendering is a pure function of
+// the recorded streams. One recorded E10 fleet, merged forward and reversed
+// and at merge widths 1 and 8, renders the same trace, collapsed profile and
+// top table. (That the streams themselves replay is make
+// determinism-check's job.)
 func TestE10MergedArtifactsAreByteIdentical(t *testing.T) {
-	if err := selfCheck("e10", trace.DefaultEvents, 20); err != nil {
+	machines := runE10Fleet(t)
+	reversed := make([]scope.MachineTrace, len(machines))
+	for i, m := range machines {
+		reversed[len(machines)-1-i] = m
+	}
+	var base [3][]byte
+	for i, v := range []struct {
+		label    string
+		machines []scope.MachineTrace
+		workers  int
+	}{
+		{"forward, workers 1", machines, 1},
+		{"forward, workers 8", machines, 8},
+		{"reversed, workers 1", reversed, 1},
+		{"reversed, workers 8", reversed, 8},
+	} {
+		tr, col, top, err := render(scope.Merge(v.machines, v.workers), 20)
+		if err != nil {
+			t.Fatalf("%s: %v", v.label, err)
+		}
+		got := [3][]byte{tr, col, top}
+		if i == 0 {
+			base = got
+			continue
+		}
+		for j, name := range []string{"merged trace", "collapsed profile", "top table"} {
+			if !bytes.Equal(base[j], got[j]) {
+				t.Errorf("%s differs between forward, workers 1 and %s", name, v.label)
+			}
+		}
+	}
+}
+
+// TestE1TraceCarriesDiskEvents: a single-machine experiment renders as a
+// fleet of one, and its disk work lands in the recorder, the metrics and
+// the merged trace.
+func TestE1TraceCarriesDiskEvents(t *testing.T) {
+	_, fleet, err := runFleet("e1", trace.DefaultEvents)
+	if err != nil {
 		t.Fatal(err)
+	}
+	machines := fleet.Machines()
+	if len(machines) != 1 || machines[0].Name != "machine" {
+		t.Fatalf("e1 ran as %+v, want one machine named machine", machines)
+	}
+	rec := machines[0].Rec
+	disk := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind.Category() == "disk" {
+			disk++
+		}
+	}
+	if disk == 0 {
+		t.Fatal("e1 recorded no disk events")
+	}
+	if rec.Counter("disk.ops") == 0 {
+		t.Fatalf("no disk.ops counter in the metrics:\n%s", metricsText(machines))
+	}
+	tr, _, _, err := render(scope.Merge(machines, 1), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"cat":"disk"`, `"ph":"X"`, `"thread_name"`} {
+		if !bytes.Contains(tr, []byte(want)) {
+			t.Errorf("merged trace lacks %s", want)
+		}
 	}
 }

@@ -3,12 +3,11 @@ package crashpoint
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"altoos/internal/fsck"
 	"altoos/internal/scavenge"
+	"altoos/internal/sim"
 	"altoos/internal/trace"
 )
 
@@ -146,34 +145,14 @@ func Explore(w Workload, opts Options) (*Result, error) {
 		}
 	}
 
-	// The pool pulls task indices from an atomic cursor; every worker owns
-	// its own disk images, and each result lands at its task's slot, so the
-	// merge is the schedule order no matter which worker ran what when.
+	// Every worker owns its own disk images, and each result lands at its
+	// task's slot, so the merge is the schedule order no matter which worker
+	// ran what when.
 	outcomes := make([]Outcome, len(tasks))
 	errs := make([]error, len(tasks))
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for n := 0; n < workers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				outcomes[i], errs[i] = explorePoint(w, tasks[i].point, tasks[i].torn)
-			}
-		}()
-	}
-	wg.Wait()
+	sim.ForEach(len(tasks), opts.Workers, func(i int) {
+		outcomes[i], errs[i] = explorePoint(w, tasks[i].point, tasks[i].torn)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"altoos/internal/scope"
 	"altoos/internal/trace"
@@ -13,18 +14,16 @@ import (
 // divergence show.
 var checkWidths = []int{1, 1, 8, 8}
 
-// scopedRun is an experiment's fleet-aware entry point: pool width in,
-// one recorder per machine drawn from machine.
-type scopedRun func(workers int, machine func(string) *trace.Recorder) (*Result, error)
-
-// stream is one machine's recorded events.
+// stream is one machine's recording: its events and the lines of its
+// metrics snapshot (counters, histograms and the dropped count).
 type stream struct {
-	name   string
-	events []trace.Event
+	name    string
+	events  []trace.Event
+	metrics []string
 }
 
-// snapshot is one run flattened for comparison: every machine's events, in
-// name order, and every metric as a "name value" line, in key order.
+// snapshot is one run flattened for comparison: every machine's stream, in
+// name order, and every Result metric as a "name value" line, in key order.
 type snapshot struct {
 	streams []stream
 	metrics []string
@@ -32,23 +31,26 @@ type snapshot struct {
 
 // CheckDeterminism is the replay gate: it runs experiment id at worker
 // widths 1, 1, 8 and 8, each on fresh per-machine recorders holding up to
-// events events, and fails unless every machine's event stream and every
-// metric come out byte-identical across all four runs. The error names the
-// run, the machine and the first differing event.
+// events events, and fails unless every machine's event stream, every
+// machine's metrics snapshot and every Result metric come out byte-identical
+// across all four runs. The error names the run, the machine and the first
+// differing event or snapshot line. Every rendering of a run (the merged
+// trace, the profile, the metrics text) is a pure function of what is
+// compared here.
 func CheckDeterminism(id string, events int) error {
 	_, err := checkDeterminism(func(workers int, machine func(string) *trace.Recorder) (*Result, error) {
-		return RunScoped(id, workers, machine)
+		return Run(id, workers, machine)
 	}, events)
 	return err
 }
 
-// checkDeterminism is CheckDeterminism over any scoped run. It returns the
-// first run's snapshot so callers can check what was recorded.
-func checkDeterminism(run scopedRun, events int) (*snapshot, error) {
+// checkDeterminism is CheckDeterminism over any run. It returns the first
+// run's snapshot so callers can check what was recorded.
+func checkDeterminism(exp run, events int) (*snapshot, error) {
 	var base *snapshot
 	for i, workers := range checkWidths {
 		label := fmt.Sprintf("run %d (workers=%d)", i+1, workers)
-		got, err := record(run, workers, events)
+		got, err := record(exp, workers, events)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", label, err)
 		}
@@ -67,15 +69,19 @@ func checkDeterminism(run scopedRun, events int) (*snapshot, error) {
 }
 
 // record executes one run and flattens it.
-func record(run scopedRun, workers, events int) (*snapshot, error) {
+func record(exp run, workers, events int) (*snapshot, error) {
 	fl := scope.NewFleet(events)
-	res, err := run(workers, fl.Machine)
+	res, err := exp(workers, fl.Machine)
 	if err != nil {
 		return nil, err
 	}
 	s := &snapshot{}
 	for _, m := range fl.Machines() {
-		s.streams = append(s.streams, stream{name: m.Name, events: m.Rec.Events()})
+		s.streams = append(s.streams, stream{
+			name:    m.Name,
+			events:  m.Rec.Events(),
+			metrics: strings.Split(m.Rec.Snapshot().Text(), "\n"),
+		})
 	}
 	sort.Slice(s.streams, func(i, j int) bool { return s.streams[i].name < s.streams[j].name })
 	for k, v := range res.Metrics {
@@ -108,10 +114,22 @@ func (s *snapshot) diff(got *snapshot) string {
 				return fmt.Sprintf("machine %s, event %d: got %s, want %s", b.name, j, eventAt(g.events, j), eventAt(b.events, j))
 			}
 		}
+		if d := diffLines(b.metrics, g.metrics); d != "" {
+			return fmt.Sprintf("machine %s, metrics %s", b.name, d)
+		}
 	}
-	for j := 0; j < max(len(s.metrics), len(got.metrics)); j++ {
-		if b, g := lineAt(s.metrics, j), lineAt(got.metrics, j); b != g {
-			return fmt.Sprintf("metric %d: got %s, want %s", j, g, b)
+	if d := diffLines(s.metrics, got.metrics); d != "" {
+		return "result metric " + d
+	}
+	return ""
+}
+
+// diffLines describes the first line where got departs from want, or
+// returns "" when they match.
+func diffLines(want, got []string) string {
+	for j := 0; j < max(len(want), len(got)); j++ {
+		if w, g := lineAt(want, j), lineAt(got, j); w != g {
+			return fmt.Sprintf("line %d: got %s, want %s", j, g, w)
 		}
 	}
 	return ""

@@ -48,6 +48,47 @@ func TestCheckDeterminismNamesDivergence(t *testing.T) {
 	}
 }
 
+// TestCheckDeterminismNamesCounterDivergence proves the snapshot half of the
+// gate can fail: two machines record identical events on every run, but one
+// bumps a counter by how often it has been called, and the error names the
+// machine and the counter line.
+func TestCheckDeterminismNamesCounterDivergence(t *testing.T) {
+	calls := 0
+	flaky := func(_ int, machine func(string) *trace.Recorder) (*Result, error) {
+		calls++
+		for _, name := range []string{"steady", "drifty"} {
+			rec := machine(name)
+			rec.Emit(0, trace.KindDiskOp, "read", 1, 0)
+			rec.Add("disk.ops", 1)
+		}
+		machine("drifty").Add("disk.retries", int64(calls))
+		return &Result{Metrics: map[string]float64{"ops": 2}}, nil
+	}
+	_, err := checkDeterminism(flaky, 64)
+	if err == nil {
+		t.Fatal("a run whose counters drift passed the determinism check")
+	}
+	for _, want := range []string{"run 2 (workers=1)", "machine drifty, metrics line", "disk.retries 2", "disk.retries 1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// TestTracesAreByteIdentical runs the replay gate over the experiments that
+// cover every traced layer at tier-1 cost: the disk (e1, e2), fault
+// injection and the Scavenger (e8), the file server under loss (e10), the
+// crash explorer (e12) and the saturated wire (e13).
+func TestTracesAreByteIdentical(t *testing.T) {
+	for _, id := range []string{"e1", "e2", "e8", "e10", "e12", "e13"} {
+		t.Run(id, func(t *testing.T) {
+			if err := CheckDeterminism(id, 1<<14); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestRoundRobinOrder: machines poll once per round in order, and the run
 // stops after the round in which done first holds.
 func TestRoundRobinOrder(t *testing.T) {

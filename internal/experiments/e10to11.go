@@ -32,19 +32,12 @@ type netRig struct {
 	clients []*fileserver.Client
 }
 
-// newNetRig wires everything to one clock and one recorder, so the disk and
-// the network advance the same simulated time and trace into one stream.
-func newNetRig(n int, rec *trace.Recorder) (*netRig, error) {
-	return newNetRigFleet(n, func(string) *trace.Recorder { return rec })
-}
-
-// newNetRigFleet wires the machine room with per-machine recorders: the wire
-// is its own machine (sends, collisions and fault verdicts belong to the
+// newNetRig wires the machine room with per-machine recorders: the wire is
+// its own machine (sends, collisions and fault verdicts belong to the
 // medium), the server's disk and station record into "server", and each
-// client station into "clientN". Everything still shares one clock. Handing
-// in a constant function collapses the fleet back onto a single recorder —
-// the single-machine rig above — with identical event streams.
-func newNetRigFleet(n int, machine func(string) *trace.Recorder) (*netRig, error) {
+// client station into "clientN". Everything shares one clock. Handing in a
+// constant function collapses the room onto a single recorder.
+func newNetRig(n int, machine func(string) *trace.Recorder) (*netRig, error) {
 	clock := sim.NewClock()
 	wire := ether.New(clock)
 	wire.SetRecorder(machine("wire"))
@@ -210,51 +203,15 @@ func netPattern(n, salt int) []byte {
 	return out
 }
 
-// E10LoadedServer runs 8 client stations hammering one file server over a
-// wire losing 10% of its packets (§1's open-system claim, under load).
-func E10LoadedServer() (*Result, error) { return e10LoadedServer(nil) }
-
-func e10LoadedServer(tr *trace.Recorder) (*Result, error) {
-	// The retransmit evidence comes from trace counters, so the experiment
-	// runs a private recorder when the caller brings none.
-	rec := tr
-	if rec == nil {
-		rec = trace.New(1 << 16)
-	}
-	return e10Run(func(string) *trace.Recorder { return rec })
-}
-
-// e10Scoped is the fleet-aware entry point (cmd/altoscope): every machine
-// gets its own recorder, merged afterwards by internal/scope. The rig runs
-// on one shared clock, so there is no worker pool to size.
-func e10Scoped(_ int, machine func(string) *trace.Recorder) (*Result, error) {
-	return e10Run(machine)
-}
-
-// e10Run is the E10 workload over any recorder assignment. Counters are
-// summed across every distinct recorder the rig was given, so the numbers
-// come out the same whether the run was one machine or ten: retransmits live
-// on the client and server machines, drops on the wire.
-func e10Run(machine func(string) *trace.Recorder) (*Result, error) {
-	var recs []*trace.Recorder
-	seen := map[*trace.Recorder]bool{}
-	collect := func(name string) *trace.Recorder {
-		r := machine(name)
-		if r != nil && !seen[r] {
-			seen[r] = true
-			recs = append(recs, r)
-		}
-		return r
-	}
-	counter := func(name string) int64 {
-		var total int64
-		for _, rc := range recs {
-			total += rc.Counter(name)
-		}
-		return total
-	}
+// e10LoadedServer runs 8 client stations hammering one file server over a
+// wire losing 10% of its packets (§1's open-system claim, under load). The
+// rig runs on one shared clock, so there is no worker pool to size.
+// Retransmits live on the client and server machines, drops on the wire:
+// the counters are summed over every machine.
+func e10LoadedServer(_ int, machine func(string) *trace.Recorder) (*Result, error) {
+	recs := newRecorders(machine)
 	const clients = 8
-	r, err := newNetRigFleet(clients, collect)
+	r, err := newNetRig(clients, recs.machine)
 	if err != nil {
 		return nil, err
 	}
@@ -295,8 +252,8 @@ func e10Run(machine func(string) *trace.Recorder) (*Result, error) {
 	if corrupt != 0 {
 		return nil, fmt.Errorf("e10: %d corrupted transfers leaked through the reliable transport", corrupt)
 	}
-	retrans := counter("pup.retransmit")
-	drops := counter("ether.drop")
+	retrans := recs.counter("pup.retransmit")
+	drops := recs.counter("ether.drop")
 	if retrans == 0 {
 		return nil, fmt.Errorf("e10: 10%% loss produced no retransmissions; the fault medium is not wired in")
 	}
@@ -312,7 +269,7 @@ func e10Run(machine func(string) *trace.Recorder) (*Result, error) {
 	res.add("clients x transfers", "%d x %d, %d bytes of payload", clients, len(scripts[0]), moved)
 	res.add("corrupted transfers", "%d (checksum + retransmission hid every fault)", corrupt)
 	res.add("packets dropped by the medium", "%d (plus %d duplicated, %d corrupted)",
-		drops, counter("ether.dup"), counter("ether.corrupt"))
+		drops, recs.counter("ether.dup"), recs.counter("ether.corrupt"))
 	res.add("retransmissions", "%d (bounded: %.2f per drop)", retrans, float64(retrans)/float64(drops))
 	res.add("sessions served", "%d concurrent, %d stores, %d fetches", st.Sessions, st.Stores, st.Fetches)
 	res.add("simulated completion time", "%.2f s", simSec)
@@ -323,16 +280,16 @@ func e10Run(machine func(string) *trace.Recorder) (*Result, error) {
 	return res, nil
 }
 
-// E11LossSweep measures steady-state goodput against loss rate, 0% to 20%.
-func E11LossSweep() (*Result, error) { return e11LossSweep(nil) }
-
-// e11LossSweep primes each client's file once (uncounted: disk formatting
-// and page-growth writes say nothing about the transport) and then measures
-// a phase of same-size overwrites and fetches — warm congestion windows,
-// chained interior disk transfers, the wire under real pressure. All
-// numbers are counter/clock deltas around the measured phase, so the same
-// recorder can persist across sweep points (cmd/altotrace hands in one).
-func e11LossSweep(tr *trace.Recorder) (*Result, error) {
+// e11LossSweep measures steady-state goodput against loss rate, 0% to 20%.
+// It primes each client's file once (uncounted: disk formatting and
+// page-growth writes say nothing about the transport) and then measures a
+// phase of same-size overwrites and fetches — warm congestion windows,
+// chained interior disk transfers, the wire under real pressure. Every sweep
+// point's room runs on one machine's recorder, and all numbers are
+// counter/clock deltas around the measured phase, so the recorder persists
+// across sweep points.
+func e11LossSweep(_ int, machine func(string) *trace.Recorder) (*Result, error) {
+	rec := newRecorders(machine).machine(singleMachine)
 	res := &Result{
 		ID:    "E11",
 		Title: "steady-state goodput vs. packet loss",
@@ -343,11 +300,7 @@ func e11LossSweep(tr *trace.Recorder) (*Result, error) {
 	// cover), short enough that five sweep points stay cheap.
 	const fileBytes = 16*disk.PageBytes - 76
 	for _, lossPct := range []int{0, 5, 10, 15, 20} {
-		rec := tr
-		if rec == nil {
-			rec = trace.New(1 << 16)
-		}
-		r, err := newNetRig(2, rec)
+		r, err := newNetRig(2, func(string) *trace.Recorder { return rec })
 		if err != nil {
 			return nil, err
 		}

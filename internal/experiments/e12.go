@@ -7,16 +7,16 @@ import (
 	"altoos/internal/trace"
 )
 
-// E12CrashSweep exhaustively explores crash points: the paper claims a
+// e12CrashSweep exhaustively explores crash points: the paper claims a
 // crash at an arbitrary point costs at most recent work, never consistency
 // (§3.5). The explorer enumerates every point — power failing after write
 // 1, 2, …, N of a journaled directory workload and of a pack compaction,
 // each write also replayed as a torn (garbled mid-sector) landing — and
 // after each crash the Scavenger repairs the pack and fsck re-proves every
-// invariant.
-func E12CrashSweep() (*Result, error) { return e12CrashSweep(nil) }
-
-func e12CrashSweep(tr *trace.Recorder) (*Result, error) {
+// invariant. The explorer runs points on a pool of the given width and
+// merges outcomes by slot, so every width gives the same result.
+func e12CrashSweep(workers int, machine func(string) *trace.Recorder) (*Result, error) {
+	tr := newRecorders(machine).traced(singleMachine)
 	res := &Result{
 		ID:    "E12",
 		Title: "exhaustive crash-point sweep",
@@ -28,7 +28,7 @@ func e12CrashSweep(tr *trace.Recorder) (*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("e12: workload %q not registered", name)
 		}
-		r, err := crashpoint.Explore(w, crashpoint.Options{Workers: 4, Torn: true, Rec: tr})
+		r, err := crashpoint.Explore(w, crashpoint.Options{Workers: workers, Torn: true, Rec: tr})
 		if err != nil {
 			return nil, err
 		}

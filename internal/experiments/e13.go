@@ -32,51 +32,19 @@ func e13Word(sender, msg, i int) ether.Word {
 	return ether.Word((sender*31 + msg*7 + i*3) & 0xFFFF)
 }
 
-// E13Saturation runs the saturation + fairness experiment.
-func E13Saturation() (*Result, error) { return e13Saturation(nil) }
-
-func e13Saturation(tr *trace.Recorder) (*Result, error) {
-	rec := tr
-	if rec == nil {
-		rec = trace.New(1 << 16)
-	}
-	return e13Run(func(string) *trace.Recorder { return rec })
-}
-
-// e13Scoped is the fleet-aware entry point (cmd/altoscope): the wire, the
-// sink and all 24 senders each trace into their own recorder. The rig runs
-// on one shared clock, so there is no worker pool to size.
-func e13Scoped(_ int, machine func(string) *trace.Recorder) (*Result, error) {
-	return e13Run(machine)
-}
-
-func e13Run(machine func(string) *trace.Recorder) (*Result, error) {
-	var recs []*trace.Recorder
-	seen := map[*trace.Recorder]bool{}
-	collect := func(name string) *trace.Recorder {
-		r := machine(name)
-		if r != nil && !seen[r] {
-			seen[r] = true
-			recs = append(recs, r)
-		}
-		return r
-	}
-	counter := func(name string) int64 {
-		var total int64
-		for _, rc := range recs {
-			total += rc.Counter(name)
-		}
-		return total
-	}
-
+// e13Saturation runs the saturation + fairness experiment. The wire, the
+// sink and all 24 senders are machines of their own; the rig runs on one
+// shared clock, so there is no worker pool to size.
+func e13Saturation(_ int, machine func(string) *trace.Recorder) (*Result, error) {
+	recs := newRecorders(machine)
 	clock := sim.NewClock()
 	wire := ether.New(clock)
-	wire.SetRecorder(collect("wire"))
+	wire.SetRecorder(recs.machine("wire"))
 	sinkSt, err := wire.Attach(1)
 	if err != nil {
 		return nil, err
 	}
-	sinkSt.SetRecorder(collect("sink"))
+	sinkSt.SetRecorder(recs.machine("sink"))
 	sink := pup.NewEndpoint(sinkSt, pup.Config{})
 	sink.Listen()
 	wire.InjectFaults(ether.FaultConfig{
@@ -96,7 +64,7 @@ func e13Run(machine func(string) *trace.Recorder) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		mrec := collect(fmt.Sprintf("sender%02d", i))
+		mrec := recs.machine(fmt.Sprintf("sender%02d", i))
 		ep := pup.NewEndpoint(st, pup.Config{Seed: uint64(i + 1)})
 		conn, err := ep.Dial(1)
 		if err != nil {
@@ -104,11 +72,7 @@ func e13Run(machine func(string) *trace.Recorder) (*Result, error) {
 		}
 		// One trace flow per stream, allocated on the sender's own machine,
 		// carried in every header — retransmissions included.
-		if mrec != nil {
-			conn.SetFlow(mrec.NextFlow())
-		} else {
-			conn.SetFlow(int64(i + 1))
-		}
+		conn.SetFlow(mrec.NextFlow())
 		senders[i] = &sender{ep: ep, conn: conn}
 	}
 
@@ -246,8 +210,8 @@ func e13Run(machine func(string) *trace.Recorder) (*Result, error) {
 	}
 	jain := sum * sum / (float64(e13Senders) * sumSq)
 	goodput := float64(e13Senders*flowWords) / total.Seconds()
-	retrans := counter("pup.retransmit")
-	drops := counter("ether.drop")
+	retrans := recs.counter("pup.retransmit")
+	drops := recs.counter("ether.drop")
 
 	res := &Result{
 		ID:    "E13",
@@ -256,7 +220,7 @@ func e13Run(machine func(string) *trace.Recorder) (*Result, error) {
 	}
 	res.add("flows x messages", "%d x %d full packets (%d words each)", e13Senders, e13Messages, e13MsgWords)
 	res.add("corrupted deliveries", "%d (checksum + retransmission hid every fault)", corrupt)
-	res.add("packets dropped/corrupted by the medium", "%d / %d", drops, counter("ether.corrupt"))
+	res.add("packets dropped/corrupted by the medium", "%d / %d", drops, recs.counter("ether.corrupt"))
 	res.add("retransmissions", "%d", retrans)
 	res.add("aggregate goodput", "%.0f words/s over %.2f s simulated", goodput, total.Seconds())
 	res.add("per-flow goodput", "min %.0f, max %.0f words/s", minX, maxX)

@@ -7,10 +7,7 @@ import (
 )
 
 func TestE14FleetFanIn(t *testing.T) {
-	r, err := E14FleetFanIn()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, "e14")
 	// The run errors internally on any corrupted journal page or network
 	// payload; the metrics guard the shape. A hundred clients against one
 	// disk-bound server queue up minutes of simulated time, and the lossy
@@ -29,7 +26,7 @@ func TestE14FleetFanIn(t *testing.T) {
 // repeated runs and across worker-pool widths.
 func TestE14Determinism(t *testing.T) {
 	base, err := checkDeterminism(func(workers int, machine func(string) *trace.Recorder) (*Result, error) {
-		return E14FanIn(20, workers, machine)
+		return e14FanIn(20, workers, machine)
 	}, 1<<14)
 	if err != nil {
 		t.Fatal(err)

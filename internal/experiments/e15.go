@@ -74,58 +74,25 @@ func e15Payload(i, f, v int) []byte {
 // e15Name is client i's file f on the cluster namespace.
 func e15Name(i, f int) string { return fmt.Sprintf("c%02d.f%d", i, f) }
 
-// E15ClusterAudit runs the experiment at its default scale with tracing off.
-func E15ClusterAudit() (*Result, error) { return E15Cluster(e15Clients, 1, nil) }
-
-// e15ClusterAudit is the registry entry: one shared recorder, one worker.
-func e15ClusterAudit(rec *trace.Recorder) (*Result, error) {
-	if rec == nil {
-		return E15Cluster(e15Clients, 1, nil)
-	}
-	return E15Cluster(e15Clients, 1, func(string) *trace.Recorder { return rec })
+// e15ClusterAudit is the experiment at its default scale.
+func e15ClusterAudit(workers int, machine func(string) *trace.Recorder) (*Result, error) {
+	return e15Cluster(e15Clients, workers, machine)
 }
 
-// e15Scoped is the fleet-aware entry: one recorder per machine, so any
-// pool width is safe.
-func e15Scoped(workers int, machine func(string) *trace.Recorder) (*Result, error) {
-	return E15Cluster(e15Clients, workers, machine)
-}
-
-// E15Cluster runs the two-phase cluster experiment: a load phase (clients
+// e15Cluster runs the two-phase cluster experiment: a load phase (clients
 // store and divergently overwrite through the shard groups), seeded rot
 // struck between phases, then an audit phase (every replica a scavenging
-// daemon) that must drain only when the whole fleet has gone quiet. machine
-// maps a machine name to its trace recorder; nil gives every machine a small
-// private recorder (counters only). Every reported metric is a function of
-// the schedule alone.
-func E15Cluster(clients, workers int, machine func(string) *trace.Recorder) (*Result, error) {
+// daemon) that must drain only when the whole fleet has gone quiet. Every
+// reported metric is a function of the schedule alone.
+func e15Cluster(clients, workers int, machine func(string) *trace.Recorder) (*Result, error) {
 	if clients < 1 {
 		return nil, fmt.Errorf("e15: need at least 1 client machine, got %d", clients)
 	}
-	if machine == nil {
-		machine = func(string) *trace.Recorder { return trace.New(1 << 10) }
-	}
-	var recs []*trace.Recorder
-	seen := map[*trace.Recorder]bool{}
-	collect := func(name string) *trace.Recorder {
-		r := machine(name)
-		if r != nil && !seen[r] {
-			seen[r] = true
-			recs = append(recs, r)
-		}
-		return r
-	}
-	counter := func(name string) int64 {
-		var total int64
-		for _, rc := range recs {
-			total += rc.Counter(name)
-		}
-		return total
-	}
+	recs := newRecorders(machine)
 
 	// One wire for both phases, losing a tenth of everything on it.
 	wire := ether.New(nil)
-	wire.SetRecorder(collect("wire"))
+	wire.SetRecorder(recs.machine("wire"))
 	wire.InjectFaults(ether.FaultConfig{
 		Seed: 15,
 		Drop: ether.Rate{Num: 1, Den: 10},
@@ -145,7 +112,7 @@ func E15Cluster(clients, workers int, machine func(string) *trace.Recorder) (*Re
 			MaxRTO:     time.Second,
 			MaxRetries: 300,
 		},
-		Recorder: collect,
+		Recorder: recs.machine,
 	})
 	if err != nil {
 		return nil, err
@@ -185,7 +152,7 @@ func E15Cluster(clients, workers int, machine func(string) *trace.Recorder) (*Re
 			return nil, err
 		}
 		st.SetClock(clk)
-		st.SetRecorder(collect(fmt.Sprintf("client%02d", i)))
+		st.SetRecorder(recs.machine(fmt.Sprintf("client%02d", i)))
 		sessions += (e15Files + e15Overwrites) * e15Replicas
 		eng1.Add(fleet.MachineConfig{
 			Name:    fmt.Sprintf("client%02d", i),
@@ -326,9 +293,9 @@ func E15Cluster(clients, workers int, machine func(string) *trace.Recorder) (*Re
 		}
 	}
 	steps := eng1.Steps() + eng2.Steps()
-	divergence := counter("cluster.divergence")
-	heals := counter("cluster.heal")
-	rounds := counter("cluster.round")
+	divergence := recs.counter("cluster.divergence")
+	heals := recs.counter("cluster.heal")
+	rounds := recs.counter("cluster.round")
 	if divergence == 0 {
 		return nil, fmt.Errorf("e15: no divergence detected despite %d rotted sectors and the skipped overwrites", rotted)
 	}
@@ -354,6 +321,6 @@ func E15Cluster(clients, workers int, machine func(string) *trace.Recorder) (*Re
 	res.metric("audit_rounds_to_heal", float64(maxHealRound))
 	res.metric("sim_seconds", simEnd.Seconds())
 	res.metric("scheduler_steps", float64(steps))
-	res.metric("retransmits", float64(counter("pup.retransmit")))
+	res.metric("retransmits", float64(recs.counter("pup.retransmit")))
 	return res, nil
 }

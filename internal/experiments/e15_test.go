@@ -11,7 +11,7 @@ import (
 // and checks the headline acceptance: zero files lost, zero bytes corrupted,
 // every manufactured divergence detected and healed within a few rounds.
 func TestE15ClusterAudit(t *testing.T) {
-	r, err := E15Cluster(8, 1, nil)
+	r, err := e15Cluster(8, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestE15Determinism(t *testing.T) {
 	for _, clients := range []int{6, 4} {
 		t.Run(fmt.Sprintf("clients=%d", clients), func(t *testing.T) {
 			base, err := checkDeterminism(func(workers int, machine func(string) *trace.Recorder) (*Result, error) {
-				return E15Cluster(clients, workers, machine)
+				return e15Cluster(clients, workers, machine)
 			}, 1<<14)
 			if err != nil {
 				t.Fatal(err)

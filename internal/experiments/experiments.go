@@ -1,7 +1,7 @@
 // Package experiments regenerates every quantitative claim in the paper's
 // text — its "tables and figures". The paper is a design paper with no
 // numbered exhibits, so each embedded claim is promoted to an experiment
-// E1..E9 (see DESIGN.md §3 and EXPERIMENTS.md for the index). Each
+// E1..E15 (see DESIGN.md §3 and EXPERIMENTS.md for the index). Each
 // experiment builds the workload it needs from scratch, runs it on the
 // simulated machine, and reports the measured shape next to the paper's
 // sentence.
@@ -12,13 +12,14 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"altoos/internal/dir"
 	"altoos/internal/disk"
 	"altoos/internal/file"
-	"altoos/internal/sim"
+	"altoos/internal/scope"
 	"altoos/internal/trace"
 )
 
@@ -128,82 +129,111 @@ func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 // secs formats a duration as seconds.
 func secs(d time.Duration) float64 { return d.Seconds() }
 
-var _ = sim.NewRand // keep the import set stable across experiment files
+// run is one experiment's entry point: the pool width the fleet engine and
+// crash explorer run at, and the recorder assignment (nil: tracing off).
+type run func(workers int, machine func(string) *trace.Recorder) (*Result, error)
 
-// Runner names one experiment and its recorder-threading entry point, for
-// drivers (cmd/altotrace) that run experiments by id with tracing on.
-// Scoped, when set, is the fleet-aware variant: it draws one recorder per
-// simulated machine from the supplied function (cmd/altoscope passes
-// scope.Fleet.Machine) instead of tracing everything into one stream, and
-// runs the fleet engine at the given worker-pool width.
-type Runner struct {
-	ID     string
-	Title  string
-	Run    func(rec *trace.Recorder) (*Result, error)
-	Scoped func(workers int, machine func(string) *trace.Recorder) (*Result, error)
-}
-
-// registry lists every experiment in order. The Run functions are the
-// unexported recorder-taking variants the public E1..E9 wrappers call.
-var registry = []Runner{
-	{ID: "e1", Title: "raw sequential transfer", Run: e1RawTransfer},
-	{ID: "e2", Title: "allocation and free cost", Run: e2AllocFreeCost},
-	{ID: "e3", Title: "scavenge time by disk size", Run: e3Scavenge},
-	{ID: "e4", Title: "compaction speedup", Run: e4Compaction},
-	{ID: "e5", Title: "hint-ladder costs", Run: e5HintLadder},
-	{ID: "e6", Title: "world-swap timing", Run: e6WorldSwap},
-	{ID: "e7", Title: "Junta memory reclaim", Run: e7Junta},
-	{ID: "e8", Title: "fault injection", Run: e8Robustness},
-	{ID: "e9", Title: "installed hints", Run: e9InstalledHints},
-	{ID: "e10", Title: "loaded file server over a lossy wire", Run: e10LoadedServer, Scoped: e10Scoped},
-	{ID: "e11", Title: "goodput vs. packet loss", Run: e11LossSweep},
-	{ID: "e12", Title: "exhaustive crash-point sweep", Run: e12CrashSweep},
-	{ID: "e13", Title: "segment saturation and fairness", Run: e13Saturation, Scoped: e13Scoped},
-	{ID: "e14", Title: "fleet fan-in: a hundred Altos on one file server", Run: e14FleetFanIn, Scoped: e14Scoped},
-	{ID: "e15", Title: "sharded cluster with a distributed Scavenger", Run: e15ClusterAudit, Scoped: e15Scoped},
+// registry lists every experiment in order, one entry point each.
+var registry = []struct {
+	id  string
+	run run
+}{
+	{"e1", single(e1RawTransfer)},
+	{"e2", single(e2AllocFreeCost)},
+	{"e3", single(e3Scavenge)},
+	{"e4", single(e4Compaction)},
+	{"e5", single(e5HintLadder)},
+	{"e6", single(e6WorldSwap)},
+	{"e7", single(e7Junta)},
+	{"e8", single(e8Robustness)},
+	{"e9", single(e9InstalledHints)},
+	{"e10", e10LoadedServer},
+	{"e11", e11LossSweep},
+	{"e12", e12CrashSweep},
+	{"e13", e13Saturation},
+	{"e14", e14FleetFanIn},
+	{"e15", e15ClusterAudit},
 }
 
 // IDs lists the experiment ids Run accepts, in order.
 func IDs() []string {
 	out := make([]string, len(registry))
 	for i, r := range registry {
-		out[i] = r.ID
+		out[i] = r.id
 	}
 	return out
 }
 
-// lookup finds the registry entry for id (case-insensitive).
-func lookup(id string) (Runner, error) {
+// Run executes the experiment with the given id (case-insensitive). workers
+// is the pool width of the fleet engine and the crash explorer; results are
+// identical at every width. machine hands each named simulated machine its
+// own recorder (scope.Fleet.Machine is the canonical source); nil turns
+// tracing off. An experiment on one machine runs as one machine named
+// "machine".
+func Run(id string, workers int, machine func(string) *trace.Recorder) (*Result, error) {
 	for _, r := range registry {
-		if strings.EqualFold(r.ID, id) {
-			return r, nil
+		if strings.EqualFold(r.id, id) {
+			return r.run(workers, machine)
 		}
 	}
-	return Runner{}, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
+	return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
 }
 
-// Run executes the experiment with the given id (case-insensitive), with
-// every drive it builds emitting into rec (nil: tracing off).
-func Run(id string, rec *trace.Recorder) (*Result, error) {
-	r, err := lookup(id)
-	if err != nil {
-		return nil, err
+// singleMachine names the one machine of a single-machine experiment.
+const singleMachine = "machine"
+
+// single adapts a single-machine experiment that reads no counters: it
+// traces into the one machine's recorder, or into nil when tracing is off.
+func single(f func(rec *trace.Recorder) (*Result, error)) run {
+	return func(_ int, machine func(string) *trace.Recorder) (*Result, error) {
+		return f(newRecorders(machine).traced(singleMachine))
 	}
-	return r.Run(rec)
 }
 
-// RunScoped executes the experiment with per-machine recorders drawn from
-// machine (name → recorder; scope.Fleet.Machine is the canonical source),
-// on a fleet engine of the given worker-pool width. Experiments without a
-// fleet-aware variant run whole on one machine named "machine", so every
-// experiment remains drivable from cmd/altoscope and cmd/altofleet.
-func RunScoped(id string, workers int, machine func(string) *trace.Recorder) (*Result, error) {
-	r, err := lookup(id)
-	if err != nil {
-		return nil, err
+// privateEvents is the ring capacity of a recorder handed out with tracing
+// off. Only its counters are read, so the ring need hold nothing.
+const privateEvents = 1
+
+// recorders hands each named machine of one run its recorder and sums
+// counters over them. With tracing on the recorders are the caller's; with
+// it off they come from a private fleet, so the run simulates exactly what
+// a traced run does (flow domains included) and its counters still count.
+type recorders struct {
+	assign  func(string) *trace.Recorder
+	tracing bool
+	recs    []*trace.Recorder // every distinct recorder handed out, creation order
+}
+
+func newRecorders(machine func(string) *trace.Recorder) *recorders {
+	return &recorders{assign: machine, tracing: machine != nil}
+}
+
+// machine returns the named machine's recorder.
+func (r *recorders) machine(name string) *trace.Recorder {
+	if r.assign == nil {
+		r.assign = scope.NewFleet(privateEvents).Machine
 	}
-	if r.Scoped != nil {
-		return r.Scoped(workers, machine)
+	rec := r.assign(name)
+	if rec != nil && !slices.Contains(r.recs, rec) {
+		r.recs = append(r.recs, rec)
 	}
-	return r.Run(machine("machine"))
+	return rec
+}
+
+// traced returns the named machine's recorder with tracing on and nil with
+// it off, for a run that reads no counters and so need record nothing.
+func (r *recorders) traced(name string) *trace.Recorder {
+	if !r.tracing {
+		return nil
+	}
+	return r.machine(name)
+}
+
+// counter sums a counter over every machine of the run.
+func (r *recorders) counter(name string) int64 {
+	var total int64
+	for _, rec := range r.recs {
+		total += rec.Counter(name)
+	}
+	return total
 }

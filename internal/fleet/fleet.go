@@ -10,8 +10,8 @@
 // lookahead L is the ether's minimum propagation latency
 // (ether.MinLatency): no send starting inside the window can arrive inside
 // it, so every machine whose wake falls in the window can run concurrently
-// without risking a causality violation. Machines execute across a worker
-// pool via the crashpoint/scope atomic-cursor pattern; because each
+// without risking a causality violation. Machines execute across the
+// shared worker pool, sim.ForEach; because each
 // activation depends only on the machine's own state and on arrivals
 // certified by the window horizon (see Network.SetHorizon), a run is
 // byte-identically replayable across repeated runs and across -workers
@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"altoos/internal/ether"
+	"altoos/internal/sim"
 )
 
 // never is the wake time of a machine blocked with no pending deadline:
@@ -57,6 +58,8 @@ type Engine struct {
 	net        *ether.Network
 
 	machines []*Machine
+	batch    []*Machine  // the window being run
+	step     func(i int) // steps batch[i]; built once, so a window allocates nothing
 	draining bool
 	horizon  time.Duration
 	steps    atomic.Int64
@@ -93,6 +96,7 @@ func New(opts ...Option) *Engine {
 	if e.net != nil {
 		e.net.SetFleetMode(true)
 	}
+	e.step = func(i int) { e.stepAt(e.batch[i], e.batch[i].effWake) }
 	return e
 }
 
@@ -233,37 +237,12 @@ func (e *Engine) pending() (batch []*Machine, live int, daemonsOnly bool) {
 	return batch, live, daemonsOnly
 }
 
-// runBatch executes one window's machines. With one worker they run
-// serially in event order; with more, a worker pool claims machines off an
-// atomic cursor — the same slot-addressed pattern the crash explorer uses —
-// and the window barrier is the pool's WaitGroup.
+// runBatch executes one window's machines on the engine's worker pool:
+// serially in event order at one worker, otherwise across sim.ForEach. The
+// window barrier is ForEach's return.
 func (e *Engine) runBatch(batch []*Machine) {
-	n := e.workers
-	if n > len(batch) {
-		n = len(batch)
-	}
-	if n <= 1 {
-		for _, m := range batch {
-			e.stepAt(m, m.effWake)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1) - 1)
-				if i >= len(batch) {
-					return
-				}
-				e.stepAt(batch[i], batch[i].effWake)
-			}
-		}()
-	}
-	wg.Wait()
+	e.batch = batch
+	sim.ForEach(len(batch), e.workers, e.step)
 }
 
 // stepAt resumes one parked machine at the given wake time and blocks until

@@ -6,10 +6,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"altoos/internal/sim"
 	"altoos/internal/trace"
 )
 
@@ -56,34 +55,12 @@ func Merge(ms []MachineTrace, workers int) *Merged {
 		}
 	}
 
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(m.machines) {
-		workers = len(m.machines)
-	}
-	// The pool pulls machine indices from an atomic cursor; each result
-	// lands at its machine's slot (the crashpoint explorer's shape), so the
-	// fold order cannot leak into the output.
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for n := 0; n < workers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(m.machines) {
-					return
-				}
-				md := &m.machines[i]
-				md.events = recs[i].Events()
-				md.dropped = recs[i].Snapshot().Dropped
-				md.profile = foldProfile(md.name, md.events)
-			}
-		}()
-	}
-	wg.Wait()
+	sim.ForEach(len(m.machines), workers, func(i int) {
+		md := &m.machines[i]
+		md.events = recs[i].Events()
+		md.dropped = recs[i].Snapshot().Dropped
+		md.profile = foldProfile(md.name, md.events)
+	})
 
 	total := 0
 	for i := range m.machines {
@@ -131,6 +108,21 @@ type chromeEvent struct {
 	Scope string           `json:"s,omitempty"`
 	BP    string           `json:"bp,omitempty"`
 	Args  map[string]int64 `json:"args,omitempty"`
+}
+
+// lanes are the category lanes each machine renders as threads, in display
+// order; an event's thread id is its category's 1-based index here.
+var lanes = []string{"disk", "scavenge", "zone", "stream", "swap", "ether", "fileserver", "crashpoint"}
+
+// laneOf returns the thread id a category renders on; unknown categories
+// share the lane after the named ones.
+func laneOf(cat string) int {
+	for i, c := range lanes {
+		if c == cat {
+			return i + 1
+		}
+	}
+	return len(lanes) + 1
 }
 
 // usec converts simulated time to trace_event microseconds.
@@ -184,10 +176,9 @@ func (m *Merged) WriteChrome(w io.Writer) error {
 		return flush(string(b))
 	}
 
-	lanes := trace.Lanes()
 	for i := range m.machines {
-		// process_name wants a string arg; write it by hand like the
-		// single-machine exporter does.
+		// process_name and thread_name want a string arg, which
+		// chromeEvent.Args cannot hold; write them by hand.
 		if err := flush(fmt.Sprintf(`{"name":"process_name","cat":"__metadata","ph":"M","ts":0,"pid":%d,"tid":0,"args":{"name":%q}}`,
 			i+1, m.machines[i].name)); err != nil {
 			return err
@@ -215,7 +206,7 @@ func (m *Merged) WriteChrome(w io.Writer) error {
 			Cat:  ev.Kind.Category(),
 			Ts:   usec(ev.T),
 			Pid:  me.machine + 1,
-			Tid:  trace.LaneIndex(ev.Kind.Category()),
+			Tid:  laneOf(ev.Kind.Category()),
 			Args: map[string]int64{a0n: ev.A0, a1n: ev.A1},
 		}
 		if ce.Name == "" {

@@ -17,7 +17,8 @@
 // events. Machines are ordered by name, events by (simulated time, machine,
 // ring position) — a total order independent of merge-input order — so the
 // merged trace and the profile are byte-identical across runs, across merge
-// input orders, and across worker counts (cmd/altoscope -check pins this).
+// input orders, and across worker counts. This package renders the only
+// Chrome trace in the repository: a single-machine run is a fleet of one.
 package scope
 
 import (
@@ -49,7 +50,7 @@ func NewFleet(capacity int) *Fleet {
 }
 
 // Machine returns the named machine's recorder, creating it on first use.
-// The method value is the shape experiments.RunScoped consumes.
+// The method value is the shape experiments.Run consumes.
 func (f *Fleet) Machine(name string) *trace.Recorder {
 	f.mu.Lock()
 	defer f.mu.Unlock()

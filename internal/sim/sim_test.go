@@ -226,3 +226,25 @@ func TestRandBoolExtremes(t *testing.T) {
 		}
 	}
 }
+
+// TestForEach: every index runs exactly once at any width, and at one
+// worker the calls run inline in index order.
+func TestForEach(t *testing.T) {
+	var order []int
+	ForEach(5, 1, func(i int) { order = append(order, i) })
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("serial order %v, want 0..4", order)
+		}
+	}
+	for _, workers := range []int{0, 2, 8, 100} {
+		hits := make([]int, 37)
+		ForEach(len(hits), workers, func(i int) { hits[i]++ })
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
+			}
+		}
+	}
+	ForEach(0, 4, func(int) { t.Fatal("called with n = 0") })
+}

@@ -1,9 +1,10 @@
 // Package trace is the flight recorder for the simulated machine: a
 // zero-dependency, deterministic event-tracing and metrics layer timed
 // exclusively off sim.Clock. The disk, scavenger, zones, streams, swapper
-// and network emit typed events into a fixed-capacity ring buffer, and
-// exporters turn the recording into a Chrome trace_event file (for
-// chrome://tracing) or a compact metrics snapshot.
+// and network emit typed events into a fixed-capacity ring buffer beside
+// named counters and histograms. Snapshot renders the aggregates as text;
+// internal/scope renders the rings as a Chrome trace_event file (for
+// chrome://tracing), one process per machine.
 //
 // The paper explains the system almost entirely through timing arguments —
 // label checks cost "one more revolution", scavenging "takes about a
@@ -12,9 +13,10 @@
 //
 // Determinism contract: every event is stamped with *simulated* time (the
 // virtual clock the hardware models advance), never the host's wall clock,
-// and the exporters iterate in recorded or sorted order only. Two runs of
-// the same workload therefore produce byte-identical traces; a trace diff
-// is a behaviour diff. cmd/altotrace asserts this property as a test.
+// and the snapshot iterates in sorted order only. Two runs of the same
+// workload therefore record identical events and snapshots; a trace diff is
+// a behaviour diff. experiments.CheckDeterminism asserts this property for
+// every experiment that records events.
 //
 // A nil *Recorder is a valid no-op recorder: every method checks the
 // receiver, so instrumented hot paths pay one branch when tracing is off.
@@ -111,7 +113,7 @@ const (
 )
 
 // kindInfo fixes each kind's display name, category lane and argument
-// names. The table is what keeps the exporters deterministic: nothing about
+// names. The table is what keeps the rendered trace deterministic: nothing about
 // an event's presentation is computed from runtime state.
 var kindInfo = [numKinds]struct {
 	name, cat, a0, a1 string
