@@ -1,12 +1,12 @@
 # The pre-PR gate. `make check` is what CI (and a careful human) runs:
-# build everything, run the stock vet, run the domain-aware vet, then the
-# tests under the race detector.
+# build everything, check formatting, run the stock vet, run the
+# domain-aware vet, then the tests under the race detector.
 
 GO ?= go
 
-.PHONY: check build vet altovet vet-stats vet-baseline test race bench bench-diff determinism-check crash-check fmt
+.PHONY: check build fmt-check vet altovet vet-stats vet-baseline test race bench bench-diff determinism-check crash-check fmt
 
-check: build vet altovet vet-stats determinism-check crash-check race bench-diff
+check: build fmt-check vet altovet vet-stats determinism-check crash-check race bench-diff
 
 build:
 	$(GO) build ./...
@@ -74,5 +74,10 @@ bench:
 bench-diff:
 	$(GO) run ./cmd/benchdiff
 
+# fmt rewrites every unformatted file in place; fmt-check is its gate form,
+# part of check: it lists the unformatted files and fails if there are any.
 fmt:
 	gofmt -l -w .
+
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed (run make fmt):"; echo "$$out"; exit 1; fi

@@ -130,6 +130,11 @@ type Network struct {
 	// executions interleave on the host. See internal/fleet.
 	fleet   bool
 	horizon atomic.Int64 // window horizon in ns; only consulted in fleet mode
+
+	// gained lists, in fleet mode, the stations that have had a delivery
+	// held for them since the scheduler last took the list (see
+	// TakeGained); Station.gained marks membership so each appears once.
+	gained []*Station
 }
 
 // SetFleetMode switches the medium between the shared-clock single-machine
@@ -142,6 +147,22 @@ func (n *Network) SetFleetMode(on bool) {
 	defer n.mu.Unlock()
 	n.fleet = on
 	n.horizon.Store(int64(^uint64(0) >> 1)) // unbounded until SetHorizon
+}
+
+// TakeGained appends to dst every station that has had a delivery held for
+// it since the previous call, and forgets them. It is how the fleet
+// scheduler learns, at a window barrier, whose earliest arrival may have
+// moved without rescanning every station. Only fleet mode records; the
+// order is unspecified.
+func (n *Network) TakeGained(dst []*Station) []*Station {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, st := range n.gained {
+		st.gained = false
+	}
+	dst = append(dst, n.gained...)
+	n.gained = n.gained[:0]
+	return dst
 }
 
 // SetHorizon publishes the current lockstep window's upper bound. Stations
@@ -193,13 +214,17 @@ type Station struct {
 	// shared clock). txSeq counts this station's sends; it is guarded by
 	// the *network* mutex because it is assigned on the send path, and it
 	// orders same-arrival-time deliveries from the same sender.
-	clk   *sim.Clock
-	txSeq uint64
+	clk    *sim.Clock
+	txSeq  uint64
+	gained bool // listed in net.gained; guarded by the network mutex
 
 	mu   sync.Mutex
 	in   []Packet
 	held []heldPacket // scheduled deliveries awaiting their release time
-	rec  *trace.Recorder
+	// earliest is the minimum release time in held, meaningful only while
+	// held is non-empty: Send lowers it, promoteLocked recomputes it.
+	earliest time.Duration
+	rec      *trace.Recorder
 }
 
 // heldPacket is a delivery awaiting its release time: fault-delayed packets
@@ -284,6 +309,9 @@ func (s *Station) Detach() {
 		}
 	}
 }
+
+// Network returns the medium the station is attached to.
+func (s *Station) Network() *Network { return s.net }
 
 // Addr returns the station's address.
 func (s *Station) Addr() Addr { return s.addr }
@@ -386,6 +414,10 @@ func (s *Station) Send(p Packet) error {
 			}
 		}
 		dels = append(dels, d)
+		if fleet && !st.gained {
+			st.gained = true
+			n.gained = append(n.gained, st)
+		}
 	}
 	n.mu.Unlock()
 
@@ -402,6 +434,9 @@ func (s *Station) Send(p Packet) error {
 		d.st.mu.Lock()
 		for c := 0; c < d.copies; c++ {
 			if release > 0 {
+				if len(d.st.held) == 0 || release < d.st.earliest {
+					d.st.earliest = release
+				}
 				d.st.held = append(d.st.held, heldPacket{release: release, src: s.addr, seq: seq, pkt: d.pkt})
 			} else {
 				d.st.in = append(d.st.in, d.pkt)
@@ -440,12 +475,18 @@ func (s *Station) promoteLocked(now time.Duration) {
 	}
 	limit := now
 	s.net.fleetLimit(&limit)
+	if s.earliest > limit {
+		return
+	}
 	var due []heldPacket
 	kept := s.held[:0]
 	for _, h := range s.held {
 		if h.release <= limit {
 			due = append(due, h)
 		} else {
+			if len(kept) == 0 || h.release < s.earliest {
+				s.earliest = h.release
+			}
 			kept = append(kept, h)
 		}
 	}
@@ -479,23 +520,16 @@ func (n *Network) fleetLimit(limit *time.Duration) {
 
 // EarliestArrival reports the earliest observable or scheduled delivery on
 // the station: zero (and true) if packets are already queued, else the
-// minimum release time among held deliveries. The fleet scheduler reads it
-// at every window barrier to wake machines that are blocked waiting for
-// traffic.
+// minimum release time among held deliveries, kept as they are held and
+// promoted. The fleet scheduler reads it at a window barrier to wake a
+// machine that is blocked waiting for traffic.
 func (s *Station) EarliestArrival() (time.Duration, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.in) > 0 {
 		return 0, true
 	}
-	var best time.Duration
-	ok := false
-	for _, h := range s.held {
-		if !ok || h.release < best {
-			best, ok = h.release, true
-		}
-	}
-	return best, ok
+	return s.earliest, len(s.held) > 0
 }
 
 // Recv polls the input queue, returning the oldest packet if any. The

@@ -2,6 +2,8 @@ package ether
 
 import (
 	"errors"
+	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -280,6 +282,188 @@ func TestFleetPerSenderFaultStreams(t *testing.T) {
 	for i := range quiet {
 		if quiet[i] != noisy[i] {
 			t.Fatalf("send %d: drop verdict changed (%v vs %v) because of unrelated traffic", i, quiet[i], noisy[i])
+		}
+	}
+}
+
+// heldMinimum is the brute-force EarliestArrival: zero if packets are
+// queued, else the minimum release over every held delivery.
+func heldMinimum(s *Station) (time.Duration, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.in) > 0 {
+		return 0, true
+	}
+	var best time.Duration
+	ok := false
+	for _, h := range s.held {
+		if !ok || h.release < best {
+			best, ok = h.release, true
+		}
+	}
+	return best, ok
+}
+
+// TestEarliestArrivalMatchesHeld: the station's incrementally kept earliest
+// release agrees with a brute-force minimum over its held deliveries after
+// every send and every promotion.
+func TestEarliestArrivalMatchesHeld(t *testing.T) {
+	type wire struct {
+		n      *Network
+		a, b   *Station
+		ca, cb *sim.Clock
+	}
+	// drain receives everything b can observe now.
+	drain := func(w wire) int {
+		got := 0
+		for {
+			if _, ok := w.b.Recv(); !ok {
+				return got
+			}
+			got++
+		}
+	}
+	send := func(w wire) error { return w.a.Send(Packet{Dst: 2, Payload: []Word{1, 2, 3}}) }
+	cases := []struct {
+		name  string
+		fleet bool
+		force map[int64]Fault
+		steps []func(w wire) error
+		held  int // deliveries still held at the end
+	}{
+		{name: "empty station"},
+		{
+			name: "delayed deliveries held out of release order", fleet: true,
+			force: map[int64]Fault{0: FaultDelay, 2: FaultDelay},
+			steps: []func(w wire) error{send, send, send, send},
+			held:  4,
+		},
+		{
+			name: "duplicate copies", fleet: true,
+			force: map[int64]Fault{0: FaultDup, 1: FaultDelay},
+			steps: []func(w wire) error{send, send, send},
+			held:  4,
+		},
+		{
+			name: "promotion removes the current earliest", fleet: true,
+			force: map[int64]Fault{0: FaultDelay},
+			steps: []func(w wire) error{send, send, send, func(w wire) error {
+				// Past the second and third arrivals, short of the
+				// delayed first.
+				w.n.SetHorizon(1 << 60)
+				w.cb.AdvanceTo(w.ca.Now())
+				if got := drain(w); got != 2 {
+					return fmt.Errorf("promoted %d deliveries, want 2", got)
+				}
+				return nil
+			}},
+			held: 1,
+		},
+		{
+			name: "horizon holds back part of the due set", fleet: true,
+			steps: []func(w wire) error{send, send, send, func(w wire) error {
+				first, _ := w.b.EarliestArrival()
+				w.cb.AdvanceTo(w.ca.Now() + time.Millisecond) // every arrival is due
+				w.n.SetHorizon(first + 1)                     // but only the first is certified
+				if got := drain(w); got != 1 {
+					return fmt.Errorf("promoted %d deliveries, want 1", got)
+				}
+				return nil
+			}},
+			held: 2,
+		},
+		{
+			name:  "shared clock: delayed copy outlives its promoted twin",
+			force: map[int64]Fault{0: FaultDelay},
+			steps: []func(w wire) error{send, send, func(w wire) error {
+				if got := drain(w); got != 1 {
+					return fmt.Errorf("received %d deliveries, want 1", got)
+				}
+				return nil
+			}},
+			held: 1,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w := wire{n: New(nil)}
+			if c.fleet {
+				w.n.SetFleetMode(true)
+			}
+			w.a, _ = w.n.Attach(1)
+			w.b, _ = w.n.Attach(2)
+			if c.fleet {
+				w.ca, w.cb = sim.NewClock(), sim.NewClock()
+				w.a.SetClock(w.ca)
+				w.b.SetClock(w.cb)
+			} else {
+				w.ca, w.cb = w.n.Clock(), w.n.Clock()
+			}
+			if c.force != nil {
+				w.n.InjectFaults(FaultConfig{Seed: 1, Force: c.force})
+			}
+			check := func(after string) {
+				t.Helper()
+				got, gotOK := w.b.EarliestArrival()
+				want, wantOK := heldMinimum(w.b)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("after %s: EarliestArrival() = %v, %v; brute force %v, %v", after, got, gotOK, want, wantOK)
+				}
+			}
+			check("attach")
+			for i, step := range c.steps {
+				if err := step(w); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+				check(fmt.Sprintf("step %d", i))
+			}
+			if len(w.b.held) != c.held {
+				t.Fatalf("%d deliveries held, want %d", len(w.b.held), c.held)
+			}
+		})
+	}
+}
+
+// TestTakeGainedNamesHeldDestinations: in fleet mode the medium lists
+// exactly the stations a window's sends held deliveries for — broadcast
+// fan-out included, dropped deliveries and the sender excluded — and each
+// list is forgotten once taken.
+func TestTakeGainedNamesHeldDestinations(t *testing.T) {
+	n := New(nil)
+	n.SetFleetMode(true)
+	n.InjectFaults(FaultConfig{Seed: 1, Force: map[int64]Fault{1: FaultDrop}})
+	var st [6]*Station
+	for a := 1; a <= 5; a++ {
+		st[a], _ = n.Attach(Addr(a))
+		st[a].SetClock(sim.NewClock())
+	}
+	take := func() []Addr {
+		var addrs []Addr
+		for _, s := range n.TakeGained(nil) {
+			addrs = append(addrs, s.Addr())
+		}
+		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+		return addrs
+	}
+	// Every sender's second judged delivery is forced lost.
+	windows := []struct {
+		sends []Packet // each sent from station Src
+		want  []Addr
+	}{
+		{sends: []Packet{{Src: 1, Dst: 3}, {Src: 4, Dst: 3}, {Src: 4, Dst: 3}}, want: []Addr{3}},
+		{sends: []Packet{{Src: 1, Dst: 2}}, want: nil},
+		{sends: []Packet{{Src: 2, Dst: Broadcast}}, want: []Addr{1, 4, 5}},
+		{sends: []Packet{{Src: 5, Dst: 1}, {Src: 1, Dst: Broadcast}}, want: []Addr{1, 2, 3, 4, 5}},
+		{want: nil},
+	}
+	for i, w := range windows {
+		for _, p := range w.sends {
+			if err := st[p.Src].Send(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := take(); fmt.Sprint(got) != fmt.Sprint(w.want) {
+			t.Fatalf("window %d: gained %v, want %v", i, got, w.want)
 		}
 	}
 }

@@ -304,7 +304,7 @@ func e14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 	for i := 0; i < machines; i++ {
 		bytesMoved += 2 * int64(len(e14Payload(i))) // stored + fetched
 	}
-	steps := eng.Steps()
+	steps, windows := eng.Steps(), eng.Windows()
 	retrans := recs.counter("pup.retransmit")
 	drops := recs.counter("ether.drop")
 	sends := recs.counter("ether.send")
@@ -319,10 +319,11 @@ func e14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 	res.add("data through the server", "%d bytes stored and fetched back intact", bytesMoved)
 	res.add("packets sent / dropped by the medium", "%d / %d", sends, drops)
 	res.add("retransmissions", "%d", retrans)
-	res.add("scheduler activations", "%d over %.3f s simulated", steps, simEnd.Seconds())
+	res.add("scheduler activations", "%d in %d windows over %.3f s simulated", steps, windows, simEnd.Seconds())
 	res.metric("machines", float64(machines+1))
 	res.metric("sim_seconds", simEnd.Seconds())
 	res.metric("scheduler_steps", float64(steps))
+	res.metric("scheduler_windows", float64(windows))
 	res.metric("retransmits", float64(retrans))
 	res.metric("bytes_moved", float64(bytesMoved))
 	return res, nil

@@ -15,6 +15,9 @@ func TestE14FleetFanIn(t *testing.T) {
 	check(t, r, "machines", 101, 101)
 	check(t, r, "sim_seconds", 10, 1000)
 	check(t, r, "scheduler_steps", 1000, 10_000_000)
+	// A window runs at least one machine, so windows never outnumber
+	// activations.
+	check(t, r, "scheduler_windows", 1000, r.Metrics["scheduler_steps"])
 	check(t, r, "bytes_moved", 100_000, 200_000)
 	if r.Metrics["retransmits"] < 1 {
 		t.Error("a lossy wire and a backlogged server produced no retransmissions")

@@ -292,7 +292,7 @@ func e15Cluster(clients, workers int, machine func(string) *trace.Recorder) (*Re
 			maxHealRound = hr
 		}
 	}
-	steps := eng1.Steps() + eng2.Steps()
+	steps, windows := eng1.Steps()+eng2.Steps(), eng1.Windows()+eng2.Windows()
 	divergence := recs.counter("cluster.divergence")
 	heals := recs.counter("cluster.heal")
 	rounds := recs.counter("cluster.round")
@@ -311,7 +311,7 @@ func e15Cluster(clients, workers int, machine func(string) *trace.Recorder) (*Re
 	res.add("manufactured damage", "%d rotted sectors + skipped overwrites on even clients", rotted)
 	res.add("audit verdict", "%d divergent observations, %d heals over %d rounds", divergence, heals, rounds)
 	res.add("end state", "%d files lost, %d bytes corrupted (want 0 / 0)", filesLost, bytesCorrupted)
-	res.add("scheduler activations", "%d over %.3f s simulated", steps, simEnd.Seconds())
+	res.add("scheduler activations", "%d in %d windows over %.3f s simulated", steps, windows, simEnd.Seconds())
 	res.metric("machines", float64(len(c.Replicas)+clients))
 	res.metric("sessions", float64(sessions))
 	res.metric("files_lost", float64(filesLost))
@@ -321,6 +321,7 @@ func e15Cluster(clients, workers int, machine func(string) *trace.Recorder) (*Re
 	res.metric("audit_rounds_to_heal", float64(maxHealRound))
 	res.metric("sim_seconds", simEnd.Seconds())
 	res.metric("scheduler_steps", float64(steps))
+	res.metric("scheduler_windows", float64(windows))
 	res.metric("retransmits", float64(recs.counter("pup.retransmit")))
 	return res, nil
 }

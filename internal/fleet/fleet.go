@@ -4,24 +4,29 @@
 // until it blocks on a timer, a disk rotation, or an ether delivery, then
 // yields its next wake time into the engine's event queue.
 //
-// The engine executes in conservative lockstep. At every barrier it orders
-// the pending wake entries by (sim-time, machine sequence) — the event
-// queue — and opens a window [T, T+L) from the earliest wake T, where the
-// lookahead L is the ether's minimum propagation latency
-// (ether.MinLatency): no send starting inside the window can arrive inside
-// it, so every machine whose wake falls in the window can run concurrently
-// without risking a causality violation. Machines execute across the
-// shared worker pool, sim.ForEach; because each
-// activation depends only on the machine's own state and on arrivals
-// certified by the window horizon (see Network.SetHorizon), a run is
-// byte-identically replayable across repeated runs and across -workers
+// The event queue is a min-heap of machines keyed on (effective wake,
+// machine sequence), where a machine's effective wake is its yielded
+// deadline capped by the earliest delivery held for its stations. It
+// changes only for the machines a window can have moved: those that ran,
+// and those the medium reports had a delivery held for them
+// (ether.Network.TakeGained). A machine waiting on nothing stays out of it.
+//
+// The engine executes in conservative lockstep. At every barrier it opens
+// a window [T, T+L) from the earliest wake T, where the lookahead L is the
+// ether's minimum propagation latency (ether.MinLatency): no send starting
+// inside the window can arrive inside it, so every machine whose wake falls
+// in the window can run concurrently without risking a causality
+// violation. Machines execute across the shared worker pool, sim.ForEach;
+// because each activation depends only on the machine's own state and on
+// arrivals certified by the window horizon (see Network.SetHorizon), a run
+// is byte-identically replayable across repeated runs and across -workers
 // counts.
 package fleet
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,11 +63,17 @@ type Engine struct {
 	net        *ether.Network
 
 	machines []*Machine
-	batch    []*Machine  // the window being run
-	step     func(i int) // steps batch[i]; built once, so a window allocates nothing
+	owner    map[*ether.Station]*Machine // every machine's stations
+	queue    wakeQueue                   // the event queue: machines with a finite effective wake
+	live     int                         // machines whose program has not returned
+	daemons  int                         // live machines that are daemons
+	batch    []*Machine                  // the window being run
+	gained   []*ether.Station            // reused buffer for Network.TakeGained
+	step     func(i int)                 // steps batch[i]; built once, so a window allocates nothing
 	draining bool
 	horizon  time.Duration
 	steps    atomic.Int64
+	windows  int64
 	wg       sync.WaitGroup
 }
 
@@ -89,7 +100,7 @@ func Medium(n *ether.Network) Option {
 
 // New creates a windowed (parallel lockstep) engine.
 func New(opts ...Option) *Engine {
-	e := &Engine{workers: 1, maxWindows: maxWindows}
+	e := &Engine{workers: 1, maxWindows: maxWindows, owner: map[*ether.Station]*Machine{}}
 	for _, o := range opts {
 		o(e)
 	}
@@ -102,7 +113,8 @@ func New(opts ...Option) *Engine {
 
 // Add registers a machine with the engine. Machines are stepped and
 // tie-broken in creation order; creation order is part of the schedule and
-// must itself be deterministic.
+// must itself be deterministic. Every station must be attached to the
+// engine's Medium: the medium is what tells the engine a delivery is due.
 func (e *Engine) Add(cfg MachineConfig) *Machine {
 	if cfg.Clock == nil {
 		panic("fleet: machines require their own Clock")
@@ -121,10 +133,21 @@ func (e *Engine) Add(cfg MachineConfig) *Machine {
 		program: cfg.Program,
 		wake:    cfg.StartAt,
 		horizon: never,
+		pos:     -1,
 		resume:  make(chan resumeMsg),
 		yield:   make(chan struct{}),
 	}
+	for _, st := range sts {
+		if st.Network() != e.net {
+			panic(fmt.Sprintf("fleet: %s: station %d is not on the engine's medium", cfg.Name, st.Addr()))
+		}
+		e.owner[st] = m
+	}
 	e.machines = append(e.machines, m)
+	if m.daemon {
+		e.daemons++
+	}
+	e.live++
 	return m
 }
 
@@ -146,22 +169,23 @@ func (e *Engine) Run() (err error) {
 	return err
 }
 
-// loopWindows is the conservative parallel schedule: order pending wakes,
-// open a lookahead window from the earliest, run every machine inside it.
+// loopWindows is the conservative parallel schedule: open a lookahead
+// window from the earliest wake in the queue, run every machine inside it,
+// and requeue only what the window can have moved.
 func (e *Engine) loopWindows() error {
+	e.requeueAll()
 	for round := 0; ; round++ {
-		batch, live, daemonsOnly := e.pending()
-		if live == 0 {
+		if e.live == 0 {
 			return nil
 		}
 		if round >= e.maxWindows {
 			return fmt.Errorf("%w after %d windows", ErrRoundCap, round)
 		}
-		if len(batch) == 0 {
+		if len(e.queue) == 0 {
 			// Every live machine is blocked on a delivery that will never
 			// come. For a fleet of pure daemons that is the normal end:
 			// drain them so they can observe Draining and return.
-			if daemonsOnly {
+			if e.live == e.daemons {
 				if e.draining {
 					return fmt.Errorf("fleet: daemons %s did not exit on drain", e.liveNames())
 				}
@@ -170,79 +194,119 @@ func (e *Engine) loopWindows() error {
 				for _, m := range e.machines {
 					if !m.done {
 						e.stepAt(m, m.clock.Now())
-						if m.done && m.err != nil {
-							return m.err
+						if m.done {
+							e.retire(m)
+							if m.err != nil {
+								return m.err
+							}
 						}
 					}
 				}
+				e.requeueAll()
 				continue
 			}
 			return fmt.Errorf("%w: %s blocked forever", ErrStalled, e.liveNames())
 		}
-		horizon := batch[0].effWake + ether.MinLatency
+		horizon := e.queue[0].effWake + ether.MinLatency
 		e.horizon = horizon
 		if e.net != nil {
 			e.net.SetHorizon(horizon)
 		}
-		cut := len(batch)
-		for i, m := range batch {
-			if m.effWake >= horizon {
-				cut = i
-				break
-			}
+		e.batch = e.batch[:0]
+		for len(e.queue) > 0 && e.queue[0].effWake < horizon {
+			e.batch = append(e.batch, heap.Pop(&e.queue).(*Machine))
 		}
-		e.runBatch(batch[:cut])
-		if err := e.firstError(); err != nil {
+		e.windows++
+		sim.ForEach(len(e.batch), e.workers, e.step)
+		if err := e.settle(); err != nil {
 			return err
 		}
 	}
 }
 
-// pending recomputes every live machine's effective wake — its yielded
-// deadline, capped by the earliest delivery scheduled for its station —
-// and returns the live machines as the event queue, ordered by
-// (sim-time, machine sequence).
-func (e *Engine) pending() (batch []*Machine, live int, daemonsOnly bool) {
-	daemonsOnly = true
-	for _, m := range e.machines {
-		if m.done {
+// settle folds the window just run back into the queue. Only two kinds of
+// machine can have a new effective wake: those that ran, and those whose
+// stations had a delivery held for them by a sender that ran. Every other
+// machine's wake, clock and held deliveries are untouched.
+func (e *Engine) settle() error {
+	var failed *Machine
+	for _, m := range e.batch {
+		if !m.done {
+			e.requeue(m)
 			continue
 		}
-		live++
-		if !m.daemon {
-			daemonsOnly = false
-		}
-		w := m.wake
-		for _, st := range m.sts {
-			if a, ok := st.EarliestArrival(); ok {
-				if now := m.clock.Now(); a < now {
-					a = now
-				}
-				if a < w {
-					w = a
-				}
-			}
-		}
-		m.effWake = w
-		if w < never {
-			batch = append(batch, m)
+		e.retire(m)
+		// Lowest creation index first, so the choice does not depend on
+		// which worker finished when; no machine outside the window can
+		// have failed.
+		if m.err != nil && (failed == nil || m.idx < failed.idx) {
+			failed = m
 		}
 	}
-	sort.Slice(batch, func(i, j int) bool {
-		if batch[i].effWake != batch[j].effWake {
-			return batch[i].effWake < batch[j].effWake
+	if failed != nil {
+		return failed.err
+	}
+	if e.net != nil {
+		e.gained = e.net.TakeGained(e.gained[:0])
+		for _, st := range e.gained {
+			if m := e.owner[st]; m != nil && !m.done {
+				e.requeue(m)
+			}
 		}
-		return batch[i].idx < batch[j].idx
-	})
-	return batch, live, daemonsOnly
+	}
+	return nil
 }
 
-// runBatch executes one window's machines on the engine's worker pool:
-// serially in event order at one worker, otherwise across sim.ForEach. The
-// window barrier is ForEach's return.
-func (e *Engine) runBatch(batch []*Machine) {
-	e.batch = batch
-	sim.ForEach(len(batch), e.workers, e.step)
+// requeue recomputes a live machine's effective wake — its yielded
+// deadline, capped by the earliest delivery held for any of its stations
+// but never before its own clock — and fixes its place in the queue. A
+// machine that waits on nothing leaves the queue until a delivery is held
+// for it. The key (effWake, idx) is a total order, so the queue's order,
+// and with it the schedule, does not depend on the order of requeues.
+func (e *Engine) requeue(m *Machine) {
+	w := m.wake
+	for _, st := range m.sts {
+		if a, ok := st.EarliestArrival(); ok {
+			if now := m.clock.Now(); a < now {
+				a = now
+			}
+			if a < w {
+				w = a
+			}
+		}
+	}
+	m.effWake = w
+	switch {
+	case w == never:
+		if m.pos >= 0 {
+			heap.Remove(&e.queue, m.pos)
+		}
+	case m.pos >= 0:
+		heap.Fix(&e.queue, m.pos)
+	default:
+		heap.Push(&e.queue, m)
+	}
+}
+
+// requeueAll requeues every live machine: at the start of a run and after
+// the drain, the two points where anything may have moved.
+func (e *Engine) requeueAll() {
+	if e.net != nil {
+		e.gained = e.net.TakeGained(e.gained[:0])
+	}
+	for _, m := range e.machines {
+		if !m.done {
+			e.requeue(m)
+		}
+	}
+}
+
+// retire removes a finished machine from the live counts.
+func (e *Engine) retire(m *Machine) {
+	e.live--
+	if m.daemon {
+		e.daemons--
+	}
 }
 
 // stepAt resumes one parked machine at the given wake time and blocks until
@@ -258,16 +322,11 @@ func (e *Engine) stepAt(m *Machine, wake time.Duration) {
 // runs and worker counts — the deterministic numerator for events/second.
 func (e *Engine) Steps() int64 { return e.steps.Load() }
 
-// firstError returns the failed machine's error, lowest creation index
-// first so the choice does not depend on which worker finished when.
-func (e *Engine) firstError() error {
-	for _, m := range e.machines {
-		if m.done && m.err != nil {
-			return m.err
-		}
-	}
-	return nil
-}
+// Windows returns the number of lookahead windows the engine has opened
+// (the drain is not one). Like Steps it is a pure function of the schedule;
+// Steps/Windows is the mean number of machines a window could run at once,
+// the parallelism the schedule actually offers.
+func (e *Engine) Windows() int64 { return e.windows }
 
 // abortAll unwinds every machine that has not finished.
 func (e *Engine) abortAll() {
@@ -287,4 +346,38 @@ func (e *Engine) liveNames() string {
 		}
 	}
 	return strings.Join(names, ", ")
+}
+
+// wakeQueue is a container/heap min-heap of machines keyed on
+// (effWake, idx); each machine tracks its own position for Fix and Remove.
+type wakeQueue []*Machine
+
+func (q wakeQueue) Len() int { return len(q) }
+
+func (q wakeQueue) Less(i, j int) bool {
+	if q[i].effWake != q[j].effWake {
+		return q[i].effWake < q[j].effWake
+	}
+	return q[i].idx < q[j].idx
+}
+
+func (q wakeQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].pos = i
+	q[j].pos = j
+}
+
+func (q *wakeQueue) Push(x any) {
+	m := x.(*Machine)
+	m.pos = len(*q)
+	*q = append(*q, m)
+}
+
+func (q *wakeQueue) Pop() any {
+	old := *q
+	m := old[len(old)-1]
+	old[len(old)-1] = nil
+	*q = old[:len(old)-1]
+	m.pos = -1
+	return m
 }

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strings"
@@ -245,5 +247,310 @@ func TestWindowedRoundCap(t *testing.T) {
 	}})
 	if err := eng.Run(); !errors.Is(err, ErrRoundCap) {
 		t.Fatalf("err = %v, want ErrRoundCap", err)
+	}
+}
+
+// scheduleDigest is the activation-log digest of scheduleRun as the engine
+// granted it when it still rescanned every machine at every window. The
+// indexed queue must reproduce it exactly: same machines, same wakes, same
+// horizons.
+const scheduleDigest = "5b732563682178ed"
+
+// actLog records one machine's activations: the first wake and every resume
+// from a park, as (machine, granted wake, horizon, draining). After a
+// resume the machine's clock reads exactly the granted wake, because the
+// engine never grants a wake earlier than the machine's own time.
+type actLog struct{ lines []string }
+
+func (l *actLog) note(m *Machine) {
+	l.lines = append(l.lines, fmt.Sprintf("%s wake=%v horizon=%v draining=%v", m.name, m.clock.Now(), m.horizon, m.draining))
+}
+
+// sync is Machine.Sync with its activation noted. A Sync that parks parks
+// exactly once: the next window's horizon lies beyond the granted wake.
+func (l *actLog) sync(m *Machine) {
+	if m.clock.Now() >= m.horizon {
+		m.Sync()
+		l.note(m)
+	}
+}
+
+// idle is Machine.Idle with its activation noted.
+func (l *actLog) idle(m *Machine) {
+	m.Idle()
+	l.note(m)
+}
+
+// scheduleRun builds a seeded fleet that exercises every way the engine
+// grants a wake, and returns its activation log with machines concatenated
+// in creation order:
+//   - a faulty wire that duplicates and delays deliveries, so held releases
+//     arrive out of send order;
+//   - a daemon server that idles with no deadline and is drained at the end;
+//   - a machine with two stations, one talking to the server and one
+//     listening for broadcasts;
+//   - clients that idle on a deadline or on traffic alone;
+//   - a watcher whose far deadline each broadcast arrival pulls forward;
+//   - a station-less timer that wakes only on its own deadlines.
+func scheduleRun(t *testing.T, workers int) (log string, faults ether.FaultStats) {
+	t.Helper()
+	const (
+		server  = ether.Addr(1)
+		dualA   = ether.Addr(2)
+		dualB   = ether.Addr(3)
+		watcher = ether.Addr(20)
+		clients = 4
+		reqs    = 10
+		beacon  = 1000 // Types at or above are broadcast beacons
+		beacons = 4
+	)
+	net := ether.New(nil)
+	fm := net.InjectFaults(ether.FaultConfig{
+		Seed:      14,
+		Dup:       ether.Rate{Num: 1, Den: 5},
+		Delay:     ether.Rate{Num: 1, Den: 4},
+		DelayTime: 700 * time.Microsecond,
+	})
+	eng := New(Workers(workers), Medium(net))
+	var logs []*actLog
+	attach := func(addr ether.Addr, clk *sim.Clock) *ether.Station {
+		st, err := net.Attach(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.SetClock(clk)
+		return st
+	}
+	add := func(cfg MachineConfig, body func(m *Machine, l *actLog) error) {
+		l := &actLog{}
+		logs = append(logs, l)
+		cfg.Program = func(m *Machine) error {
+			l.note(m)
+			return body(m, l)
+		}
+		eng.Add(cfg)
+	}
+	// await collects distinct non-beacon Types on st until it has want of
+	// them, idling on a poll deadline when poll > 0 and on traffic alone
+	// otherwise.
+	await := func(m *Machine, l *actLog, st *ether.Station, want int, poll time.Duration) {
+		seen := map[ether.Word]bool{}
+		for len(seen) < want {
+			l.sync(m)
+			if p, ok := st.Recv(); ok {
+				if p.Type < beacon {
+					seen[p.Type] = true
+				}
+				continue
+			}
+			if poll > 0 {
+				m.Clock().RequestWake(m.Clock().Now() + poll)
+			}
+			l.idle(m)
+		}
+	}
+
+	sclk := sim.NewClock()
+	sst := attach(server, sclk)
+	drained := false
+	add(MachineConfig{Name: "server", Clock: sclk, Station: sst, Daemon: true}, func(m *Machine, l *actLog) error {
+		for !m.Draining() {
+			l.sync(m)
+			p, ok := sst.Recv()
+			if !ok {
+				l.idle(m)
+				continue
+			}
+			if p.Type >= beacon {
+				continue
+			}
+			sclk.Advance(time.Duration(p.Type%5+1) * 30 * time.Microsecond)
+			if err := sst.Send(ether.Packet{Dst: p.Src, Type: p.Type}); err != nil {
+				return err
+			}
+		}
+		drained = true
+		return nil
+	})
+
+	dclk := sim.NewClock()
+	da, db := attach(dualA, dclk), attach(dualB, dclk)
+	add(MachineConfig{Name: "dual", Clock: dclk, Station: da, Stations: []*ether.Station{db}, StartAt: 50 * time.Microsecond},
+		func(m *Machine, l *actLog) error {
+			for k := 0; k < reqs; k++ {
+				if err := da.Send(ether.Packet{Dst: server, Type: ether.Word(900 + k)}); err != nil {
+					return err
+				}
+				dclk.Advance(time.Duration(k%3+1) * 90 * time.Microsecond)
+			}
+			// A station with a delivery waiting wakes its machine, so the
+			// dual machine polls both of its stations on every activation.
+			echoes, got := map[ether.Word]bool{}, map[ether.Word]bool{}
+			for len(echoes) < reqs || len(got) < beacons {
+				l.sync(m)
+				worked := false
+				if p, ok := da.Recv(); ok {
+					worked = true
+					if p.Type < beacon {
+						echoes[p.Type] = true
+					}
+				}
+				if p, ok := db.Recv(); ok {
+					worked = true
+					got[p.Type] = true
+				}
+				if !worked {
+					l.idle(m)
+				}
+			}
+			return nil
+		})
+
+	for i := 0; i < clients; i++ {
+		i := i
+		clk := sim.NewClock()
+		st := attach(ether.Addr(10+i), clk)
+		add(MachineConfig{Name: fmt.Sprintf("c%d", i), Clock: clk, Station: st, StartAt: time.Duration(i) * 130 * time.Microsecond},
+			func(m *Machine, l *actLog) error {
+				for k := 0; k < reqs; k++ {
+					if err := st.Send(ether.Packet{Dst: server, Type: ether.Word(i*100 + k)}); err != nil {
+						return err
+					}
+					if i == 0 && k%2 == 1 && k/2 < beacons {
+						if err := st.Send(ether.Packet{Dst: ether.Broadcast, Type: ether.Word(beacon + k/2)}); err != nil {
+							return err
+						}
+					}
+					clk.Advance(time.Duration((i+1)*(k%4+1)) * 45 * time.Microsecond)
+				}
+				poll := time.Duration(0)
+				if i%2 == 1 {
+					poll = 400 * time.Microsecond
+				}
+				await(m, l, st, reqs, poll)
+				return nil
+			})
+	}
+
+	// The watcher sits in the queue on a far deadline that every beacon
+	// arrival pulls forward.
+	wclk := sim.NewClock()
+	wst := attach(watcher, wclk)
+	add(MachineConfig{Name: "watcher", Clock: wclk, Station: wst}, func(m *Machine, l *actLog) error {
+		got := map[ether.Word]bool{}
+		for len(got) < beacons {
+			l.sync(m)
+			if p, ok := wst.Recv(); ok {
+				got[p.Type] = true
+				continue
+			}
+			wclk.RequestWake(wclk.Now() + 5*time.Millisecond)
+			l.idle(m)
+		}
+		return nil
+	})
+
+	tclk := sim.NewClock()
+	add(MachineConfig{Name: "timer", Clock: tclk, StartAt: 10 * time.Microsecond}, func(m *Machine, l *actLog) error {
+		for k := 1; k <= 12; k++ {
+			tclk.RequestWake(time.Duration(k) * 333 * time.Microsecond)
+			l.idle(m)
+		}
+		return nil
+	})
+
+	if err := eng.Run(); err != nil {
+		t.Fatalf("fleet run (workers=%d): %v", workers, err)
+	}
+	if !drained {
+		t.Fatal("server was never drained")
+	}
+	var all []string
+	for _, l := range logs {
+		all = append(all, l.lines...)
+	}
+	return strings.Join(all, "\n"), fm.Stats()
+}
+
+// TestScheduleUnchanged pins the schedule itself, not just its replay:
+// every activation's machine, granted wake and horizon must hash to the
+// digest the rescanning engine produced, at one worker and at eight.
+func TestScheduleUnchanged(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		log, fs := scheduleRun(t, workers)
+		if fs.Dupped == 0 || fs.Delayed == 0 {
+			t.Fatalf("workers=%d: fault model duplicated %d and delayed %d deliveries; the fleet must exercise both", workers, fs.Dupped, fs.Delayed)
+		}
+		sum := sha256.Sum256([]byte(log))
+		got := hex.EncodeToString(sum[:8])
+		if got != scheduleDigest {
+			t.Fatalf("workers=%d: activation log digest %s, want %s (%d activations)\n%s", workers, got, scheduleDigest, strings.Count(log, "\n")+1, log)
+		}
+	}
+}
+
+// idleFleet runs parked daemons, each waiting with no deadline on its own
+// station, plus one machine whose program is body. The parked machines stay
+// out of the event queue, so every window body opens with tick is a
+// singleton — the engine's common case.
+func idleFleet(tb testing.TB, parked int, body func(m *Machine)) {
+	tb.Helper()
+	net := ether.New(nil)
+	eng := New(Medium(net))
+	for i := 0; i < parked; i++ {
+		clk := sim.NewClock()
+		st, err := net.Attach(ether.Addr(i + 1))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		st.SetClock(clk)
+		eng.Add(MachineConfig{Name: fmt.Sprintf("idle%d", i), Clock: clk, Station: st, Daemon: true,
+			Program: func(m *Machine) error {
+				for !m.Draining() {
+					m.Idle()
+				}
+				return nil
+			}})
+	}
+	eng.Add(MachineConfig{Name: "ticker", Clock: sim.NewClock(), StartAt: time.Millisecond,
+		Program: func(m *Machine) error {
+			body(m)
+			return nil
+		}})
+	if err := eng.Run(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// tick idles the machine on a deadline one millisecond ahead: one window.
+func tick(m *Machine) {
+	m.Clock().RequestWake(m.Clock().Now() + time.Millisecond)
+	m.Idle()
+}
+
+// BenchmarkWindow reports the host cost of one steady-state window in a
+// fleet of a hundred parked machines and one ticking on a timer.
+func BenchmarkWindow(b *testing.B) {
+	b.ReportAllocs()
+	idleFleet(b, 100, func(m *Machine) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tick(m)
+		}
+		b.StopTimer()
+	})
+}
+
+// TestSingletonWindowAllocatesNothing pins the engine's steady state: a
+// window that runs one machine, among a hundred parked ones, allocates
+// nothing on the host.
+func TestSingletonWindowAllocatesNothing(t *testing.T) {
+	allocs := -1.0
+	idleFleet(t, 100, func(m *Machine) {
+		tick(m) // the first windows size the engine's reusable buffers
+		allocs = testing.AllocsPerRun(100, func() { tick(m) })
+	})
+	if allocs != 0 {
+		t.Fatalf("a singleton window allocates %v times, want 0", allocs)
 	}
 }

@@ -67,6 +67,7 @@ type Machine struct {
 	// the engine after; and vice versa through resumeMsg.
 	wake     time.Duration
 	effWake  time.Duration
+	pos      int // index in the engine's wakeQueue, -1 when not queued
 	horizon  time.Duration
 	draining bool
 	aborted  bool
