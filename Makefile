@@ -65,7 +65,7 @@ crash-check:
 # diffable. (Timestamp, not just date: a same-day rerun must not overwrite
 # the snapshot it would be compared against.)
 bench:
-	$(GO) test -bench . -benchtime 1x -benchmem . | tee BENCH_$$(date +%Y-%m-%d_%H%M%S).json
+	$(GO) test -bench . -benchtime 1x -benchmem . | tee BENCH_$$(date +%Y-%m-%d_%H%M%S).txt
 
 # bench-diff compares the two latest snapshots and fails on any regression
 # in a simulated-time metric; host-dependent costs (ns/op, allocs/op) are

@@ -1,5 +1,5 @@
 // Command benchdiff compares the repo's two most recent benchmark snapshots
-// (BENCH_*.json, as written by `make bench`) and fails when a simulated-time
+// (BENCH_*.txt, as written by `make bench`) and fails when a simulated-time
 // metric regresses. The point is to separate the two kinds of numbers a
 // benchmark line carries: host-dependent costs (ns/op, B/op, allocs/op vary
 // with the machine and the Go release) and modelled quantities
@@ -8,9 +8,9 @@
 //
 // Usage:
 //
-//	benchdiff [-dir path] [-tolerance pct] [old.json new.json]
+//	benchdiff [-dir path] [-tolerance pct] [old.txt new.txt]
 //
-// With no file arguments the two lexically-latest BENCH_*.json files in the
+// With no file arguments the two lexically-latest BENCH_*.txt files in the
 // directory are compared (the dated naming makes lexical order
 // chronological). Fewer than two snapshots is not an error — there is
 // nothing to compare, and a fresh checkout must still pass `make check`.
@@ -35,7 +35,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	dir := fs.String("dir", ".", "directory holding BENCH_*.json snapshots")
+	dir := fs.String("dir", ".", "directory holding BENCH_*.txt snapshots")
 	tol := fs.Float64("tolerance", 2.0, "percent worsening tolerated before failing")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var oldPath, newPath string
 	switch fs.NArg() {
 	case 0:
-		snaps, err := filepath.Glob(filepath.Join(*dir, "BENCH_*.json"))
+		snaps, err := filepath.Glob(filepath.Join(*dir, "BENCH_*.txt"))
 		if err != nil {
 			fmt.Fprintf(stderr, "benchdiff: %v\n", err)
 			return 2

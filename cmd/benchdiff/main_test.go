@@ -23,9 +23,9 @@ func write(t *testing.T, dir, name, content string) {
 
 func TestCleanDiffPasses(t *testing.T) {
 	dir := t.TempDir()
-	write(t, dir, "BENCH_2026-01-01.json", oldSnap)
+	write(t, dir, "BENCH_2026-01-01.txt", oldSnap)
 	// Simulated metrics improve, host metrics regress wildly: still clean.
-	write(t, dir, "BENCH_2026-01-02.json", `goos: linux
+	write(t, dir, "BENCH_2026-01-02.txt", `goos: linux
 BenchmarkE1RawTransfer 	1	9977026 ns/op	1.268 sim_seconds_64kwords	51669 words_per_sec	9834384 B/op	9513 allocs/op
 BenchmarkE3Scavenge    	1	90954497 ns/op	26.00 scavenge_seconds_Diablo31	92965928 B/op	950367 allocs/op
 PASS
@@ -41,9 +41,9 @@ PASS
 
 func TestRegressionFails(t *testing.T) {
 	dir := t.TempDir()
-	write(t, dir, "BENCH_2026-01-01.json", oldSnap)
+	write(t, dir, "BENCH_2026-01-01.txt", oldSnap)
 	// scavenge_seconds worsens 10%, words_per_sec drops 10%: two regressions.
-	write(t, dir, "BENCH_2026-01-02.json", `goos: linux
+	write(t, dir, "BENCH_2026-01-02.txt", `goos: linux
 BenchmarkE1RawTransfer 	1	2377026 ns/op	1.268 sim_seconds_64kwords	46502 words_per_sec	2834384 B/op	3513 allocs/op
 BenchmarkE3Scavenge    	1	30954497 ns/op	33.84 scavenge_seconds_Diablo31	22965928 B/op	250367 allocs/op
 PASS
@@ -61,9 +61,9 @@ PASS
 
 func TestToleranceAbsorbsNoise(t *testing.T) {
 	dir := t.TempDir()
-	write(t, dir, "BENCH_2026-01-01.json", oldSnap)
+	write(t, dir, "BENCH_2026-01-01.txt", oldSnap)
 	// 1% worse is within the default 2% tolerance.
-	write(t, dir, "BENCH_2026-01-02.json", `goos: linux
+	write(t, dir, "BENCH_2026-01-02.txt", `goos: linux
 BenchmarkE1RawTransfer 	1	2377026 ns/op	1.281 sim_seconds_64kwords	51669 words_per_sec	2834384 B/op	3513 allocs/op
 BenchmarkE3Scavenge    	1	30954497 ns/op	30.76 scavenge_seconds_Diablo31	22965928 B/op	250367 allocs/op
 PASS
@@ -79,8 +79,8 @@ PASS
 
 func TestMissingBenchmarkFails(t *testing.T) {
 	dir := t.TempDir()
-	write(t, dir, "BENCH_2026-01-01.json", oldSnap)
-	write(t, dir, "BENCH_2026-01-02.json", `goos: linux
+	write(t, dir, "BENCH_2026-01-01.txt", oldSnap)
+	write(t, dir, "BENCH_2026-01-02.txt", `goos: linux
 BenchmarkE1RawTransfer 	1	2377026 ns/op	1.268 sim_seconds_64kwords	51669 words_per_sec	2834384 B/op	3513 allocs/op
 PASS
 `)
@@ -95,7 +95,7 @@ PASS
 
 func TestNothingToCompare(t *testing.T) {
 	dir := t.TempDir()
-	write(t, dir, "BENCH_2026-01-01.json", oldSnap)
+	write(t, dir, "BENCH_2026-01-01.txt", oldSnap)
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-dir", dir}, &out, &errOut); code != 0 {
 		t.Fatalf("single snapshot exited %d, want 0", code)
@@ -141,14 +141,14 @@ func TestDirectionTable(t *testing.T) {
 
 func TestExactMetricFailsOnAnyChange(t *testing.T) {
 	dir := t.TempDir()
-	write(t, dir, "BENCH_2026-01-01.json", `goos: linux
+	write(t, dir, "BENCH_2026-01-01.txt", `goos: linux
 BenchmarkE15ClusterAudit 	1	118214397 ns/op	0 files_lost	0 bytes_corrupted	242.0 divergence_detected	31.00 heals	1.000 audit_rounds_to_heal	855.4 sim_seconds
 PASS
 `)
 	// divergence_detected moves by under half a percent — far inside any
 	// tolerance — but it is an exact metric: the audit saw different damage,
 	// which means the deterministic schedule changed.
-	write(t, dir, "BENCH_2026-01-02.json", `goos: linux
+	write(t, dir, "BENCH_2026-01-02.txt", `goos: linux
 BenchmarkE15ClusterAudit 	1	118214397 ns/op	0 files_lost	0 bytes_corrupted	241.0 divergence_detected	31.00 heals	1.000 audit_rounds_to_heal	855.4 sim_seconds
 PASS
 `)
@@ -161,7 +161,7 @@ PASS
 	}
 	// A single lost file is a regression: files_lost is lower-better and the
 	// old value was zero, so any increase reads as 100% worse.
-	write(t, dir, "BENCH_2026-01-03.json", `goos: linux
+	write(t, dir, "BENCH_2026-01-03.txt", `goos: linux
 BenchmarkE15ClusterAudit 	1	118214397 ns/op	1.000 files_lost	0 bytes_corrupted	241.0 divergence_detected	31.00 heals	1.000 audit_rounds_to_heal	855.4 sim_seconds
 PASS
 `)
@@ -173,7 +173,7 @@ PASS
 		t.Errorf("missing files_lost regression line:\n%s", out.String())
 	}
 	// Unchanged exact and zero-held metrics stay clean.
-	write(t, dir, "BENCH_2026-01-04.json", `goos: linux
+	write(t, dir, "BENCH_2026-01-04.txt", `goos: linux
 BenchmarkE15ClusterAudit 	1	918214397 ns/op	1.000 files_lost	0 bytes_corrupted	241.0 divergence_detected	31.00 heals	1.000 audit_rounds_to_heal	855.4 sim_seconds
 PASS
 `)
@@ -185,12 +185,12 @@ PASS
 
 func TestWallCoupledTolerance(t *testing.T) {
 	dir := t.TempDir()
-	write(t, dir, "BENCH_2026-01-01.json", `goos: linux
+	write(t, dir, "BENCH_2026-01-01.txt", `goos: linux
 BenchmarkE14FleetFanIn 	1	937026 ns/op	158.5 sim_seconds	37730 scheduler_steps	40000 events_per_sec	1.00 speedup_x8
 PASS
 `)
 	// Host-coupled throughput down 30%: inside the relaxed 50% band.
-	write(t, dir, "BENCH_2026-01-02.json", `goos: linux
+	write(t, dir, "BENCH_2026-01-02.txt", `goos: linux
 BenchmarkE14FleetFanIn 	1	937026 ns/op	158.5 sim_seconds	37730 scheduler_steps	28000 events_per_sec	0.80 speedup_x8
 PASS
 `)
@@ -199,7 +199,7 @@ PASS
 		t.Fatalf("30%% wall-coupled drift exited %d, want 0\n%s", code, out.String())
 	}
 	// A collapse (70% down) is a real engine regression and must fail.
-	write(t, dir, "BENCH_2026-01-03.json", `goos: linux
+	write(t, dir, "BENCH_2026-01-03.txt", `goos: linux
 BenchmarkE14FleetFanIn 	1	937026 ns/op	158.5 sim_seconds	37730 scheduler_steps	12000 events_per_sec	0.80 speedup_x8
 PASS
 `)
@@ -208,7 +208,7 @@ PASS
 		t.Fatalf("70%% wall-coupled collapse exited %d, want 1\n%s", code, out.String())
 	}
 	// The simulated metrics keep the tight default tolerance.
-	write(t, dir, "BENCH_2026-01-04.json", `goos: linux
+	write(t, dir, "BENCH_2026-01-04.txt", `goos: linux
 BenchmarkE14FleetFanIn 	1	937026 ns/op	170.0 sim_seconds	37730 scheduler_steps	12000 events_per_sec	0.80 speedup_x8
 PASS
 `)

@@ -113,7 +113,7 @@ type Network struct {
 	// recorded as a collision. The probe is bookkeeping only — the medium
 	// still delivers every packet, it just becomes visible in the trace
 	// that two stations contended for the wire.
-	rec       *trace.Recorder
+	rec       atomic.Pointer[trace.Recorder]
 	busyUntil time.Duration
 
 	// fault is the attached fault model (nil: the perfect medium). Verdicts
@@ -174,18 +174,10 @@ func (n *Network) SetHorizon(t time.Duration) {
 }
 
 // SetRecorder attaches a flight recorder to the medium (nil detaches).
-func (n *Network) SetRecorder(r *trace.Recorder) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.rec = r
-}
+func (n *Network) SetRecorder(r *trace.Recorder) { n.rec.Store(r) }
 
 // TraceRecorder implements trace.Source.
-func (n *Network) TraceRecorder() *trace.Recorder {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rec
-}
+func (n *Network) TraceRecorder() *trace.Recorder { return n.rec.Load() }
 
 // New creates a network advancing clock (nil for a private clock).
 func New(clock *sim.Clock) *Network {
@@ -218,13 +210,15 @@ type Station struct {
 	txSeq  uint64
 	gained bool // listed in net.gained; guarded by the network mutex
 
-	mu   sync.Mutex
-	in   []Packet
-	held []heldPacket // scheduled deliveries awaiting their release time
-	// earliest is the minimum release time in held, meaningful only while
-	// held is non-empty: Send lowers it, promoteLocked recomputes it.
-	earliest time.Duration
-	rec      *trace.Recorder
+	mu sync.Mutex
+	// in[inHead:] is the input queue. Popped slots are cleared, and the
+	// queue rewinds to in[:0] whenever it empties.
+	in     []Packet
+	inHead int
+	// held is a min-heap on (release, src, seq) of scheduled deliveries
+	// awaiting their release time; held[0] is the earliest.
+	held []heldPacket
+	rec  atomic.Pointer[trace.Recorder]
 }
 
 // heldPacket is a delivery awaiting its release time: fault-delayed packets
@@ -238,29 +232,90 @@ type heldPacket struct {
 	pkt     Packet
 }
 
+// before is the held heap's order. It is total except between the two
+// copies of one duplicated packet, which are the same packet.
+func (h *heldPacket) before(o *heldPacket) bool {
+	if h.release != o.release {
+		return h.release < o.release
+	}
+	if h.src != o.src {
+		return h.src < o.src
+	}
+	return h.seq < o.seq
+}
+
+// holdLocked adds a delivery to the held heap. Caller holds s.mu.
+func (s *Station) holdLocked(h heldPacket) {
+	s.held = append(s.held, h)
+	q := s.held
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// unholdLocked removes and returns the earliest held delivery. Caller holds
+// s.mu and has checked the heap is non-empty.
+func (s *Station) unholdLocked() Packet {
+	q := s.held
+	last := len(q) - 1
+	p := q[0].pkt
+	q[0] = q[last]
+	q[last] = heldPacket{}
+	q = q[:last]
+	s.held = q
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < len(q) && q[l].before(&q[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < len(q) && q[r].before(&q[least]) {
+			least = r
+		}
+		if least == i {
+			return p
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+}
+
+// enqueueLocked appends a packet to the input queue, first sliding the
+// live part down over popped slots when the backing array is full, so a
+// queue that never quite empties does not grow without bound. Caller holds
+// s.mu.
+func (s *Station) enqueueLocked(p Packet) {
+	if len(s.in) == cap(s.in) && s.inHead > 0 {
+		n := copy(s.in, s.in[s.inHead:])
+		clear(s.in[n:])
+		s.in = s.in[:n]
+		s.inHead = 0
+	}
+	s.in = append(s.in, p)
+}
+
+// queuedLocked is the input queue's length. Caller holds s.mu.
+func (s *Station) queuedLocked() int { return len(s.in) - s.inHead }
+
 // SetRecorder gives the station its own flight recorder (nil reverts to the
 // medium's). In a fleet, each machine's station records into that machine's
 // recorder while the shared wire keeps its own — the split that lets
 // internal/scope merge per-machine timelines into one multi-process trace.
-func (s *Station) SetRecorder(r *trace.Recorder) {
-	s.mu.Lock()
-	s.rec = r
-	s.mu.Unlock()
-}
+func (s *Station) SetRecorder(r *trace.Recorder) { s.rec.Store(r) }
 
 // TraceRecorder implements trace.Source: the station's own recorder when one
 // is attached, else the medium's, so layers built over stations (the
-// reliable transport, the file server) trace without new plumbing. The two
-// locks are taken in sequence, never nested — the network lock must not
-// nest inside a station lock.
+// reliable transport, the file server) trace without new plumbing. Both
+// recorders are atomic pointers, so the lookup takes no lock.
 func (s *Station) TraceRecorder() *trace.Recorder {
-	s.mu.Lock()
-	r := s.rec
-	s.mu.Unlock()
-	if r != nil {
+	if r := s.rec.Load(); r != nil {
 		return r
 	}
-	return s.net.TraceRecorder()
+	return s.net.rec.Load()
 }
 
 // Clock returns the station's clock: its own in fleet mode, else the shared
@@ -323,9 +378,7 @@ func (s *Station) Send(p Packet) error {
 		return fmt.Errorf("%w: %d words", ErrTooBig, len(p.Payload))
 	}
 	p.Src = s.addr
-	// Snapshot the sender's recorder before taking the network lock (the
-	// network lock never nests inside a station lock); fleet mode stamps
-	// wire events onto the sending machine's timeline.
+	// Fleet mode stamps wire events onto the sending machine's timeline.
 	srec := s.TraceRecorder()
 	clock := s.Clock()
 	n := s.net
@@ -342,7 +395,7 @@ func (s *Station) Send(p Packet) error {
 	start := clock.Now()
 	s.txSeq++
 	seq := s.txSeq
-	rec := n.rec
+	rec := n.rec.Load()
 	if fleet {
 		rec = srec
 	}
@@ -369,20 +422,25 @@ func (s *Station) Send(p Packet) error {
 	cp := p
 	cp.Payload = append([]Word(nil), p.Payload...)
 	cp.Check = cp.Sum()
-	// Destinations in address order: n.order is maintained sorted, so the
-	// fan-out — and with it the fault model's verdict draw order — is
-	// (address, arrival sequence) by construction.
-	var dsts []*Station
-	for _, st := range n.order {
-		if st == s {
-			continue
+	// Destinations in address order: n.order is maintained sorted, so a
+	// broadcast's fan-out — and with it the fault model's verdict draw
+	// order — is (address, arrival sequence) by construction. A unicast has
+	// at most one destination, found by address; its buffers stay on the
+	// stack.
+	var dstBuf [1]*Station
+	dsts := dstBuf[:0]
+	if p.Dst == Broadcast {
+		for _, st := range n.order {
+			if st != s {
+				dsts = append(dsts, st)
+			}
 		}
-		if p.Dst == Broadcast || p.Dst == st.addr {
-			dsts = append(dsts, st)
-		}
+	} else if st := n.stations[p.Dst]; st != nil && st != s {
+		dsts = append(dsts, st)
 	}
 	arrive := start + dur
-	dels := make([]delivery, 0, len(dsts))
+	var delBuf [1]delivery
+	dels := delBuf[:0]
 	for _, st := range dsts {
 		d := delivery{st: st, pkt: cp, copies: 1}
 		if n.fault != nil {
@@ -434,15 +492,12 @@ func (s *Station) Send(p Packet) error {
 		d.st.mu.Lock()
 		for c := 0; c < d.copies; c++ {
 			if release > 0 {
-				if len(d.st.held) == 0 || release < d.st.earliest {
-					d.st.earliest = release
-				}
-				d.st.held = append(d.st.held, heldPacket{release: release, src: s.addr, seq: seq, pkt: d.pkt})
+				d.st.holdLocked(heldPacket{release: release, src: s.addr, seq: seq, pkt: d.pkt})
 			} else {
-				d.st.in = append(d.st.in, d.pkt)
+				d.st.enqueueLocked(d.pkt)
 			}
 		}
-		depth := len(d.st.in)
+		depth := d.st.queuedLocked()
 		d.st.mu.Unlock()
 		if !fleet {
 			// The queue-depth gauge reads the receiver's momentary backlog,
@@ -463,46 +518,20 @@ type delivery struct {
 }
 
 // promoteLocked moves held packets whose release time has passed into the
-// input queue, in (release, source address, sender sequence) order — a
-// total order over deliveries that does not depend on the order concurrent
-// senders appended them. In fleet mode a packet additionally stays held
-// until the lockstep window's horizon covers its arrival, so a machine
-// whose clock overran the window cannot observe a racing delivery.
-// Caller holds s.mu.
+// input queue, popping the heap in (release, source address, sender
+// sequence) order — a total order over deliveries that does not depend on
+// the order concurrent senders held them. In fleet mode a packet
+// additionally stays held until the lockstep window's horizon covers its
+// arrival, so a machine whose clock overran the window cannot observe a
+// racing delivery. Caller holds s.mu.
 func (s *Station) promoteLocked(now time.Duration) {
 	if len(s.held) == 0 {
 		return
 	}
 	limit := now
 	s.net.fleetLimit(&limit)
-	if s.earliest > limit {
-		return
-	}
-	var due []heldPacket
-	kept := s.held[:0]
-	for _, h := range s.held {
-		if h.release <= limit {
-			due = append(due, h)
-		} else {
-			if len(kept) == 0 || h.release < s.earliest {
-				s.earliest = h.release
-			}
-			kept = append(kept, h)
-		}
-	}
-	s.held = kept
-	sort.Slice(due, func(i, j int) bool {
-		a, b := due[i], due[j]
-		if a.release != b.release {
-			return a.release < b.release
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
-	for _, h := range due {
-		s.in = append(s.in, h.pkt)
+	for len(s.held) > 0 && s.held[0].release <= limit {
+		s.enqueueLocked(s.unholdLocked())
 	}
 }
 
@@ -520,34 +549,40 @@ func (n *Network) fleetLimit(limit *time.Duration) {
 
 // EarliestArrival reports the earliest observable or scheduled delivery on
 // the station: zero (and true) if packets are already queued, else the
-// minimum release time among held deliveries, kept as they are held and
-// promoted. The fleet scheduler reads it at a window barrier to wake a
-// machine that is blocked waiting for traffic.
+// minimum release time among held deliveries: the top of the held heap.
+// The fleet scheduler reads it at a window barrier to wake a machine that
+// is blocked waiting for traffic.
 func (s *Station) EarliestArrival() (time.Duration, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.in) > 0 {
+	if s.queuedLocked() > 0 {
 		return 0, true
 	}
-	return s.earliest, len(s.held) > 0
+	if len(s.held) == 0 {
+		return 0, false
+	}
+	return s.held[0].release, true
 }
 
 // Recv polls the input queue, returning the oldest packet if any. The
 // delivery is recorded on the station's own recorder when one is attached —
 // in a fleet, arrivals belong to the receiving machine's timeline.
 func (s *Station) Recv() (Packet, bool) {
-	// Snapshot the recorder before taking s.mu: the network lock never
-	// nests inside a station lock.
 	rec := s.TraceRecorder()
 	now := s.Clock().Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.promoteLocked(now)
-	if len(s.in) == 0 {
+	if s.queuedLocked() == 0 {
 		return Packet{}, false
 	}
-	p := s.in[0]
-	s.in = s.in[1:]
+	p := s.in[s.inHead]
+	s.in[s.inHead] = Packet{}
+	s.inHead++
+	if s.inHead == len(s.in) {
+		s.in = s.in[:0]
+		s.inHead = 0
+	}
 	if rec != nil {
 		rec.EmitFlow(now, trace.KindEtherRecv, "", int64(p.Src), int64(len(p.Payload)+HeaderWords), int64(p.Flow))
 		rec.Add("ether.recv", 1)
@@ -562,7 +597,7 @@ func (s *Station) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.promoteLocked(now)
-	return len(s.in)
+	return s.queuedLocked()
 }
 
 // PackString converts a string into payload words (length-prefixed, two

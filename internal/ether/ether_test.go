@@ -291,7 +291,7 @@ func TestFleetPerSenderFaultStreams(t *testing.T) {
 func heldMinimum(s *Station) (time.Duration, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.in) > 0 {
+	if s.queuedLocked() > 0 {
 		return 0, true
 	}
 	var best time.Duration

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -74,7 +73,6 @@ type Engine struct {
 	horizon  time.Duration
 	steps    atomic.Int64
 	windows  int64
-	wg       sync.WaitGroup
 }
 
 // Option configures an Engine.
@@ -134,8 +132,6 @@ func (e *Engine) Add(cfg MachineConfig) *Machine {
 		wake:    cfg.StartAt,
 		horizon: never,
 		pos:     -1,
-		resume:  make(chan resumeMsg),
-		yield:   make(chan struct{}),
 	}
 	for _, st := range sts {
 		if st.Network() != e.net {
@@ -156,16 +152,11 @@ func (e *Engine) Add(cfg MachineConfig) *Machine {
 // occurred. It must be called exactly once.
 func (e *Engine) Run() (err error) {
 	for _, m := range e.machines {
-		e.wg.Add(1)
-		go func(m *Machine) {
-			defer e.wg.Done()
-			m.runner()
-		}(m)
+		m.start()
 	}
 	if err = e.loopWindows(); err != nil {
 		e.abortAll()
 	}
-	e.wg.Wait()
 	return err
 }
 
@@ -309,12 +300,12 @@ func (e *Engine) retire(m *Machine) {
 	}
 }
 
-// stepAt resumes one parked machine at the given wake time and blocks until
-// it parks again (or its program returns).
+// stepAt switches into one parked machine at the given wake time and
+// returns when it parks again (or its program returns).
 func (e *Engine) stepAt(m *Machine, wake time.Duration) {
 	e.steps.Add(1)
-	m.resume <- resumeMsg{wake: wake, horizon: e.horizon, draining: e.draining}
-	<-m.yield
+	m.msg = resumeMsg{wake: wake, horizon: e.horizon, draining: e.draining}
+	m.next()
 }
 
 // Steps returns the number of machine activations the engine has performed.
@@ -328,11 +319,12 @@ func (e *Engine) Steps() int64 { return e.steps.Load() }
 // the parallelism the schedule actually offers.
 func (e *Engine) Windows() int64 { return e.windows }
 
-// abortAll unwinds every machine that has not finished.
+// abortAll unwinds every machine that has not finished. A coroutine that
+// is never stopped would keep its goroutine for the life of the process.
 func (e *Engine) abortAll() {
 	for _, m := range e.machines {
 		if !m.done {
-			m.resume <- resumeMsg{abort: true}
+			m.stop()
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -186,7 +187,7 @@ func TestDaemonDrains(t *testing.T) {
 			}
 		},
 	})
-	if err := eng.Run(); err != nil {
+	if err := runJoined(t, eng); err != nil {
 		t.Fatal(err)
 	}
 	if served != 1 {
@@ -205,32 +206,54 @@ func TestStallIsAnError(t *testing.T) {
 			return nil
 		},
 	})
-	err := eng.Run()
+	err := runJoined(t, eng)
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled", err)
 	}
 }
 
 // TestErrorAbortsFleet: one machine's error fails Run and unwinds the
-// others without deadlock.
+// others without deadlock — the one parked mid-program and the one that
+// never got to start alike.
 func TestErrorAbortsFleet(t *testing.T) {
 	boom := errors.New("boom")
+	idler := func(m *Machine) error {
+		for {
+			m.Idle()
+		}
+	}
 	eng := New()
 	eng.Add(MachineConfig{
 		Name: "failer", Clock: sim.NewClock(),
 		Program: func(m *Machine) error { return boom },
 	})
-	eng.Add(MachineConfig{
-		Name: "bystander", Clock: sim.NewClock(),
-		Program: func(m *Machine) error {
-			for {
-				m.Idle()
-			}
-		},
-	})
-	if err := eng.Run(); !errors.Is(err, boom) {
+	eng.Add(MachineConfig{Name: "bystander", Clock: sim.NewClock(), Program: idler})
+	eng.Add(MachineConfig{Name: "late", Clock: sim.NewClock(), StartAt: time.Second, Program: idler})
+	if err := runJoined(t, eng); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
+}
+
+// runJoined runs the engine and fails the test if a coroutine outlives Run.
+// Every machine is a coroutine with a goroutine of its own, so Run must
+// finish or stop each one on every way out: success, a machine's error, a
+// stall and the window budget alike. The check counts coroutine goroutines
+// rather than comparing runtime.NumGoroutine around Run, which an earlier
+// test's worker goroutines, still exiting, would make flaky.
+func runJoined(t *testing.T, eng *Engine) error {
+	t.Helper()
+	err := eng.Run()
+	if n := coroutines(); n != 0 {
+		t.Errorf("%d coroutine goroutines outlive Run", n)
+	}
+	return err
+}
+
+// coroutines counts the live goroutines that iter.Pull created.
+func coroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "created by iter.Pull")
 }
 
 // TestWindowedRoundCap: a fleet that never finishes trips ErrRoundCap once
@@ -245,7 +268,7 @@ func TestWindowedRoundCap(t *testing.T) {
 			m.Sync()
 		}
 	}})
-	if err := eng.Run(); !errors.Is(err, ErrRoundCap) {
+	if err := runJoined(t, eng); !errors.Is(err, ErrRoundCap) {
 		t.Fatalf("err = %v, want ErrRoundCap", err)
 	}
 }

@@ -36,22 +36,22 @@ type MachineConfig struct {
 }
 
 // resumeMsg is what the engine hands a parked machine: the time to resume
-// at, the current window horizon, and the drain/abort flags.
+// at, the current window horizon, and the drain flag.
 type resumeMsg struct {
 	wake     time.Duration
 	horizon  time.Duration
 	draining bool
-	abort    bool
 }
 
 // fleetAbort unwinds a machine's program when the engine shuts the fleet
 // down after another machine's error.
 type fleetAbort struct{}
 
-// Machine is one actor: a goroutine running its program, exchanging control
-// with the engine through an unbuffered channel pair, so exactly one of
-// (engine, machine) runs at a time per machine and every field handoff is
-// ordered by the channel operations.
+// Machine is one actor: a coroutine running its program. The engine
+// switches into it (next) and it switches back when it parks (yield), so
+// exactly one of (engine, machine) runs at a time per machine — the Alto's
+// own discipline of activities handing control to each other explicitly —
+// and every field handoff is ordered by the switch.
 type Machine struct {
 	name    string
 	idx     int
@@ -60,11 +60,13 @@ type Machine struct {
 	sts     []*ether.Station
 	program func(*Machine) error
 
-	resume chan resumeMsg
-	yield  chan struct{}
+	next  func() (struct{}, bool) // engine side: run until the next park
+	stop  func()                  // engine side: unwind a parked machine
+	yield func(struct{}) bool     // machine side: park; false on stop
 
 	// Engine-side view: written by the machine before it yields, read by
-	// the engine after; and vice versa through resumeMsg.
+	// the engine after; and vice versa through msg.
+	msg      resumeMsg
 	wake     time.Duration
 	effWake  time.Duration
 	pos      int // index in the engine's wakeQueue, -1 when not queued
@@ -114,44 +116,37 @@ func (m *Machine) Idle() {
 }
 
 // park yields control to the engine with the given next wake time and
-// blocks until resumed. On resume the machine's clock jumps to the granted
+// returns when resumed. On resume the machine's clock jumps to the granted
 // wake time — which may be later than requested, when the engine woke it
-// for a delivery instead.
+// for a delivery instead. A stop from the engine unwinds the program.
 func (m *Machine) park(wake time.Duration) {
 	m.wake = wake
-	m.yield <- struct{}{}
-	msg := <-m.resume
-	if msg.abort {
+	if !m.yield(struct{}{}) {
 		panic(fleetAbort{})
 	}
-	m.apply(msg)
+	m.apply()
 }
 
 // apply installs the engine's resume message into the machine's view.
-func (m *Machine) apply(msg resumeMsg) {
-	m.draining = msg.draining
-	m.horizon = msg.horizon
-	if msg.wake < never {
-		m.clock.AdvanceTo(msg.wake)
+func (m *Machine) apply() {
+	m.draining = m.msg.draining
+	m.horizon = m.msg.horizon
+	if m.msg.wake < never {
+		m.clock.AdvanceTo(m.msg.wake)
 	}
 }
 
-// runner is the machine goroutine: wait for first wake, run the program,
-// hand the final yield back. An abort unwinds without yielding — the
-// engine stops listening to aborted machines.
-func (m *Machine) runner() {
-	msg := <-m.resume
-	if msg.abort {
-		return
-	}
-	m.apply(msg)
+// run is the coroutine body, entered on the machine's first wake: run the
+// program and record how it ended. An abort unwinds without recording —
+// the engine has stopped listening to the fleet.
+func (m *Machine) run() {
+	m.apply()
 	err := m.invoke()
 	if m.aborted {
 		return
 	}
 	m.err = err
 	m.done = true
-	m.yield <- struct{}{}
 }
 
 // invoke runs the program, converting an engine abort into a quiet exit.
