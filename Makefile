@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build fmt-check vet altovet vet-stats vet-baseline test race bench bench-diff determinism-check crash-check fmt
+.PHONY: check build fmt-check vet altovet vet-stats vet-baseline test race bench results determinism-check crash-check fmt
 
-check: build fmt-check vet altovet vet-stats determinism-check crash-check race bench-diff
+check: build fmt-check vet altovet vet-stats determinism-check crash-check race
 
 build:
 	$(GO) build ./...
@@ -15,7 +15,7 @@ vet:
 	$(GO) vet ./...
 
 # altovet compares against the checked-in baseline, so the gate fails only on
-# findings *new* since the baseline (benchdiff-style). The tree is clean today
+# findings *new* since the baseline. The tree is clean today
 # — the baseline is empty — but the mechanism lets a future large-scale
 # finding haul land incrementally without turning the gate off.
 altovet:
@@ -60,19 +60,25 @@ determinism-check:
 crash-check:
 	$(GO) run ./cmd/altocrash -workload journaled-insert -points 64 -workers 8 -torn
 
-# bench runs every experiment benchmark once and keeps the raw output as a
-# timestamped snapshot, so regressions in the simulated quantities are
-# diffable. (Timestamp, not just date: a same-day rerun must not overwrite
-# the snapshot it would be compared against.)
-bench:
-	$(GO) test -bench . -benchtime 1x -benchmem . | tee BENCH_$$(date +%Y-%m-%d_%H%M%S).txt
+# results rewrites the checked-in record of every experiment,
+# internal/experiments/testdata/results/<id>.json, from a traced one-worker
+# altofleet run. TestAllRunsEveryExperiment compares each untraced run with
+# its file byte for byte, so run this only for a change that moves a result
+# on purpose, and say why in the change.
+RESULTS_DIR = internal/experiments/testdata/results
 
-# bench-diff compares the two latest snapshots and fails on any regression
-# in a simulated-time metric; host-dependent costs (ns/op, allocs/op) are
-# ignored. With fewer than two snapshots there is nothing to compare and it
-# passes.
-bench-diff:
-	$(GO) run ./cmd/benchdiff
+results:
+	$(GO) build -o /dev/null ./cmd/altofleet
+	mkdir -p $(RESULTS_DIR)
+	for id in $$($(GO) run ./cmd/altofleet -list); do \
+		$(GO) run ./cmd/altofleet -json -workers 1 -experiment $$id > $(RESULTS_DIR)/$$id.json || exit 1; \
+	done
+
+# bench measures the host cost of every experiment: ns/op and allocs/op of
+# one run each (E14 at one worker and at eight). It prints and writes no
+# file; the simulated results are checked exactly by go test instead.
+bench:
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
 
 # fmt rewrites every unformatted file in place; fmt-check is its gate form,
 # part of check: it lists the unformatted files and fails if there are any.

@@ -28,8 +28,8 @@ func TestDefaultWorkloadSweepRecovers(t *testing.T) {
 }
 
 // TestReportJSONIsStableAndParseable pins the report format the CI gate and
-// benchdiff consumers read: valid JSON, byte-identical across runs, with
-// the fields the docs promise.
+// other consumers read: valid JSON, byte-identical across runs, with the
+// fields the docs promise.
 func TestReportJSONIsStableAndParseable(t *testing.T) {
 	w, _ := crashpoint.Lookup("dir-insert")
 	run := func() []byte {

@@ -19,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -61,7 +60,7 @@ func main() {
 		log.Fatalf("altofleet: %v", err)
 	}
 	if *jsonOut {
-		if err := writeJSON(os.Stdout, res); err != nil {
+		if err := res.WriteJSON(os.Stdout); err != nil {
 			log.Fatalf("altofleet: %v", err)
 		}
 		return
@@ -74,27 +73,4 @@ func main() {
 		total += m.Rec.Len()
 	}
 	fmt.Printf("traced: %d events across the fleet\n", total)
-}
-
-// writeJSON emits the result as one stable JSON document: identification,
-// the human-readable rows, and the numeric metrics (keys sorted by
-// encoding/json).
-func writeJSON(w *os.File, res *experiments.Result) error {
-	type row struct {
-		Name  string `json:"name"`
-		Value string `json:"value"`
-	}
-	doc := struct {
-		ID      string             `json:"id"`
-		Title   string             `json:"title"`
-		Claim   string             `json:"claim"`
-		Rows    []row              `json:"rows"`
-		Metrics map[string]float64 `json:"metrics"`
-	}{ID: res.ID, Title: res.Title, Claim: res.Claim, Metrics: res.Metrics}
-	for _, r := range res.Rows {
-		doc.Rows = append(doc.Rows, row{Name: r.Label, Value: r.Value})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

@@ -6,20 +6,34 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"altoos/internal/vet"
 )
 
-// loadFixture type-checks a fixture package under a virtual import path, so
-// the analyzers' scope rules treat it as living wherever the test says.
-func loadFixture(t *testing.T, dir, virtualPath string) *vet.Package {
+// sharedModule is the module every test in this binary loads through, once:
+// type-checking the standard library from source is what a load costs.
+// TestParallelRunDeterministic alone loads afresh, because the fresh load
+// at each width is what it tests.
+var sharedModule = sync.OnceValues(func() (*vet.Module, error) { return vet.LoadModule(".") })
+
+func testModule(t *testing.T) *vet.Module {
 	t.Helper()
-	mod, err := vet.LoadModule(".")
+	mod, err := sharedModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := mod.LoadDir(filepath.Join("testdata", "src", dir), virtualPath)
+	return mod
+}
+
+// loadFixture type-checks a fixture package under a virtual import path, so
+// the analyzers' scope rules treat it as living wherever the test says. The
+// fixture is isolated from the shared module's other packages, as if it were
+// loaded into a fresh module.
+func loadFixture(t *testing.T, dir, virtualPath string) *vet.Package {
+	t.Helper()
+	pkg, err := testModule(t).LoadIsolated(filepath.Join("testdata", "src", dir), virtualPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +252,7 @@ func TestSimTaintLayouts(t *testing.T) {
 // TestProductionTreeClean is the gate the Makefile check target automates:
 // the whole module, every analyzer, zero findings.
 func TestProductionTreeClean(t *testing.T) {
-	mod, err := vet.LoadModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := mod.Load("./...")
+	pkgs, err := testModule(t).Load("./...")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,12 +124,12 @@ func (s *snapshot) diff(got *snapshot) string {
 	return ""
 }
 
-// diffLines describes the first line where got departs from want, or
-// returns "" when they match.
+// diffLines describes the first line (numbered from 1) where got departs
+// from want, or returns "" when they match.
 func diffLines(want, got []string) string {
 	for j := 0; j < max(len(want), len(got)); j++ {
 		if w, g := lineAt(want, j), lineAt(got, j); w != g {
-			return fmt.Sprintf("line %d: got %s, want %s", j, g, w)
+			return fmt.Sprintf("line %d: got %s, want %s", j+1, g, w)
 		}
 	}
 	return ""

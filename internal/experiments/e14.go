@@ -314,7 +314,7 @@ func e14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 		Title: "fleet fan-in: a hundred Altos boot and share one file server",
 		Claim: "§1: single-user machines plus one shared wire scale to a building-sized system",
 	}
-	res.add("fleet", "%d client Altos + 1 server, %d-worker windowed schedule", machines, workers)
+	res.add("fleet", "%d client Altos + 1 server, windowed schedule", machines)
 	res.add("per-machine boot", "format, OS bring-up, %d-page journal on a private %s", e14LocalPages, e14MiniGeometry().Name)
 	res.add("data through the server", "%d bytes stored and fetched back intact", bytesMoved)
 	res.add("packets sent / dropped by the medium", "%d / %d", sends, drops)

@@ -305,8 +305,8 @@ func e15Cluster(clients, workers int, machine func(string) *trace.Recorder) (*Re
 		Title: "sharded cluster: replicated stores, rot, and the distributed Scavenger",
 		Claim: "§3.5 across machines: replicas audit each other back to byte-identical packs",
 	}
-	res.add("cluster", "%d shards × %d replicas, %d client machines, %d-worker windowed schedule",
-		e15Shards, e15Replicas, clients, workers)
+	res.add("cluster", "%d shards × %d replicas, %d client machines, windowed schedule",
+		e15Shards, e15Replicas, clients)
 	res.add("client sessions", "%d fileserver sessions at 10%% wire loss", sessions)
 	res.add("manufactured damage", "%d rotted sectors + skipped overwrites on even clients", rotted)
 	res.add("audit verdict", "%d divergent observations, %d heals over %d rounds", divergence, heals, rounds)

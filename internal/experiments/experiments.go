@@ -11,7 +11,9 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"slices"
 	"strings"
 	"time"
@@ -48,6 +50,30 @@ func (r *Result) Table() string {
 		fmt.Fprintf(&b, "  %-44s %s\n", row.Label, row.Value)
 	}
 	return b.String()
+}
+
+// WriteJSON emits the result as one stable JSON document: identification,
+// the human-readable rows, and the numeric metrics (keys sorted by
+// encoding/json). It is the format of altofleet -json and of the checked-in
+// record under testdata/results.
+func (r *Result) WriteJSON(w io.Writer) error {
+	type row struct {
+		Name  string `json:"name"`
+		Value string `json:"value"`
+	}
+	doc := struct {
+		ID      string             `json:"id"`
+		Title   string             `json:"title"`
+		Claim   string             `json:"claim"`
+		Rows    []row              `json:"rows"`
+		Metrics map[string]float64 `json:"metrics"`
+	}{ID: r.ID, Title: r.Title, Claim: r.Claim, Metrics: r.Metrics}
+	for _, rw := range r.Rows {
+		doc.Rows = append(doc.Rows, row{Name: rw.Label, Value: rw.Value})
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
 }
 
 func (r *Result) add(label, format string, args ...any) {

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -174,7 +178,10 @@ func TestE12CrashSweep(t *testing.T) {
 }
 
 // TestAllRunsEveryExperiment drives the registry: every id runs through Run
-// with tracing off and renders a table with rows.
+// with tracing off, renders a table with rows, and encodes byte for byte as
+// its checked-in record, testdata/results/<id>.json — every row and every
+// metric, exactly. The record is written by traced runs (make results), so a
+// match also shows that tracing does not perturb a result.
 func TestAllRunsEveryExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
@@ -192,7 +199,30 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 		if len(r.Rows) == 0 {
 			t.Errorf("%s: no rows", id)
 		}
+		var got bytes.Buffer
+		if err := r.WriteJSON(&got); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if msg := diffRecord(id, got.String()); msg != "" {
+			t.Errorf("%s\nif the change is meant to move the result, say why and regenerate the record "+
+				"with make results, or for this id alone:\n  go run ./cmd/altofleet -json -workers 1 -experiment %s > internal/experiments/testdata/results/%s.json",
+				msg, id, id)
+		}
 	}
+}
+
+// diffRecord compares an experiment's encoded result with its checked-in
+// record and names the first differing line, or returns "" on a match.
+func diffRecord(id, got string) string {
+	path := filepath.Join("testdata", "results", id+".json")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Sprintf("%s: no record: %v", id, err)
+	}
+	if d := diffLines(strings.Split(string(want), "\n"), strings.Split(got, "\n")); d != "" {
+		return fmt.Sprintf("%s: result departs from %s at %s", id, path, d)
+	}
+	return ""
 }
 
 // TestUnknownExperiment keeps the by-id error path honest: an unknown id is

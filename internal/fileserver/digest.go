@@ -116,7 +116,9 @@ func appendDigest(out []byte, d Digest) []byte {
 	return out
 }
 
-// ParseDigests decodes a serialized digest table, name order preserved.
+// ParseDigests decodes a serialized digest table, name order preserved. It
+// accepts exactly what appendDigest writes: a Clean byte other than 0 or 1
+// is a protocol error, not a dirty file.
 func ParseDigests(data []byte) ([]Digest, error) {
 	var out []Digest
 	for len(data) > 0 {
@@ -126,6 +128,9 @@ func ParseDigests(data []byte) ([]Digest, error) {
 		}
 		d := Digest{Name: string(data[1 : 1+n])}
 		p := data[1+n:]
+		if p[10] > 1 {
+			return nil, fmt.Errorf("%w: digest clean flag %d", ErrProtocol, p[10])
+		}
 		d.Size = int(p[0])<<24 | int(p[1])<<16 | int(p[2])<<8 | int(p[3])
 		d.CRC = disk.Word(p[4])<<8 | disk.Word(p[5])
 		ms := int64(p[6])<<24 | int64(p[7])<<16 | int64(p[8])<<8 | int64(p[9])

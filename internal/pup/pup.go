@@ -61,7 +61,8 @@ import (
 	"altoos/internal/trace"
 )
 
-// Packet types, claiming a range above the netfile v1 framing (0x46-0x4A).
+// Packet types: the transport's six kinds, numbered from 0x50. Nothing else
+// on the wire claims a type, so the range is the transport's alone.
 const (
 	// TypeOpen asks the remote endpoint to create a connection.
 	TypeOpen ether.Word = 0x50 + iota

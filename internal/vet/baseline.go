@@ -93,10 +93,10 @@ func baselineKey(d JSONDiagnostic) string {
 }
 
 // CompareBaseline splits current findings into those covered by the baseline
-// and those new since it, benchdiff-style: the baseline is a multiset of
-// (file, analyzer, message) keys, each occurrence covering one current
-// occurrence. resolved counts baseline entries that no longer fire — the
-// burn-down signal that the baseline wants refreshing.
+// and those new since it: the baseline is a multiset of (file, analyzer,
+// message) keys, each occurrence covering one current occurrence. resolved
+// counts baseline entries that no longer fire — the burn-down signal that
+// the baseline wants refreshing.
 func CompareBaseline(baseline, current []JSONDiagnostic) (fresh []JSONDiagnostic, resolved int) {
 	quota := map[string]int{}
 	for _, d := range baseline {

@@ -176,6 +176,43 @@ func (m *Module) LoadDir(dir, importPath string) (*Package, error) {
 	return pkg, err
 }
 
+// LoadIsolated parses and type-checks the package in dir under importPath,
+// as LoadDir does, but gives it a view of m of its own. The view shares m's
+// file set, standard-library importer and loaded module packages, so nothing
+// already type-checked is checked again. Its package table, and so its
+// whole-program view, holds only the package and the module packages it
+// imports: what a fresh LoadModule would hold after loading it. A fixture
+// loaded under a virtual path therefore never meets the real package or
+// another fixture that uses the same path, and its findings do not depend on
+// what else m has loaded.
+func (m *Module) LoadIsolated(dir, importPath string) (*Package, error) {
+	pkg, err := m.loadDirUncached(dir, importPath)
+	if err != nil {
+		return nil, err
+	}
+	view := &Module{
+		Root: m.Root, Path: m.Path, Fset: m.Fset, std: m,
+		pkgs:    map[string]*Package{importPath: pkg},
+		loading: map[string]*loadState{},
+	}
+	pkg.module = view
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var add func(*types.Package)
+	add = func(t *types.Package) {
+		for _, imp := range t.Imports() {
+			dep, ok := m.pkgs[imp.Path()]
+			if !ok || view.pkgs[imp.Path()] != nil {
+				continue // the standard library, or already in the view
+			}
+			view.pkgs[imp.Path()] = dep
+			add(dep.Types)
+		}
+	}
+	add(pkg.Types)
+	return pkg, nil
+}
+
 // loadDirUncached does the actual parse and type-check for LoadDir.
 func (m *Module) loadDirUncached(dir, importPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)

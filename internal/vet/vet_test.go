@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -17,9 +18,13 @@ func writeFixture(t *testing.T, src string) string {
 	return dir
 }
 
+// sharedModule is the module every test in this binary loads through, once:
+// type-checking the standard library from source is what a load costs.
+var sharedModule = sync.OnceValues(func() (*Module, error) { return LoadModule(".") })
+
 func loadTestModule(t *testing.T) *Module {
 	t.Helper()
-	mod, err := LoadModule(".")
+	mod, err := sharedModule()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +82,7 @@ var B = 2
 var C = 3
 `)
 	mod := loadTestModule(t)
-	pkg, err := mod.LoadDir(dir, "altoos/internal/allowfix")
+	pkg, err := mod.LoadIsolated(dir, "altoos/internal/allowfix")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +126,7 @@ var T = time.Now()
 var U = time.Now()
 `)
 	mod := loadTestModule(t)
-	pkg, err := mod.LoadDir(dir, "altoos/internal/allowfix2")
+	pkg, err := mod.LoadIsolated(dir, "altoos/internal/allowfix2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +150,7 @@ import "time"
 var T = time.Now()
 `)
 	mod := loadTestModule(t)
-	pkg, err := mod.LoadDir(dir, "altoos/internal/allowfix3")
+	pkg, err := mod.LoadIsolated(dir, "altoos/internal/allowfix3")
 	if err != nil {
 		t.Fatal(err)
 	}
