@@ -48,8 +48,11 @@ type Config struct {
 	// scheduling audits and lets the fleet drain.
 	AuditInterval time.Duration
 	AuditQuiet    int
-	// AuditPup tunes the auditor endpoints; each replica's Seed is offset
-	// by its global index so connection ids stay distinct and deterministic.
+	// AuditPup is the cluster's transport config: every replica's server
+	// and auditor endpoints use it, so the server side of an audit RPC
+	// waits out a busy caller as long as the caller waits out the server.
+	// Each replica's Seed is offset by its global index so connection ids
+	// stay distinct and deterministic.
 	AuditPup pup.Config
 	// Recorder maps a replica name ("shard0/r1") to its trace recorder.
 	// Nil gives replicas no recorder (counters off).
@@ -198,10 +201,9 @@ func newReplica(cfg Config, place Placement, shard, idx int) (*Replica, error) {
 	if _, err = dir.InitRoot(r.fs); err != nil {
 		return nil, err
 	}
-	r.srv = fileserver.NewServer(r.fs, pup.NewEndpoint(r.srvSt, pup.Config{}))
-
 	r.audCfg = cfg.AuditPup
 	r.audCfg.Seed = cfg.AuditPup.Seed + uint64(global) + 1
+	r.srv = fileserver.NewServer(r.fs, pup.NewEndpoint(r.srvSt, r.audCfg))
 	r.audEp = pup.NewEndpoint(r.audSt, r.audCfg)
 
 	for p := 0; p < place.Replicas; p++ {
@@ -229,7 +231,7 @@ func (r *Replica) Reboot() error {
 		return fmt.Errorf("%s: reboot mount: %w", r.Name(), err)
 	}
 	r.fs = fs
-	r.srv = fileserver.NewServer(fs, pup.NewEndpoint(r.srvSt, pup.Config{}))
+	r.srv = fileserver.NewServer(fs, pup.NewEndpoint(r.srvSt, r.audCfg))
 	r.audEp = pup.NewEndpoint(r.audSt, r.audCfg)
 	r.rec.Add("cluster.reboot", 1)
 	return nil
