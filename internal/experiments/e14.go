@@ -224,13 +224,14 @@ func e14FanIn(machines, workers int, machine func(string) *trace.Recorder) (*Res
 				// Idle when a poll moved nothing. The server is disk-bound
 				// (one rotation per page, sessions served in arrival order),
 				// so a whole building fanning in queues up minutes of disk
-				// time — the clients' retry budget must cover their place
-				// in that queue, or the transport gives up on a server that
-				// is merely busy.
+				// time; the server still acknowledges between sessions, so
+				// pup's default retry budget covers a client's place in that
+				// queue. One session's disk work approaches a second,
+				// though, and at pup's default 120 ms MaxRTO a client's
+				// retries run out inside a single stretch of it.
 				cl := fileserver.NewClient(pup.NewEndpoint(st, pup.Config{
-					Seed:       uint64(i + 1),
-					MaxRTO:     time.Second,
-					MaxRetries: 50 + 3*machines,
+					Seed:   uint64(i + 1),
+					MaxRTO: time.Second,
 				}))
 				if err := cl.Connect(1); err != nil {
 					return err

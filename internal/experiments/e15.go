@@ -76,15 +76,18 @@ func e15Name(i, f int) string { return fmt.Sprintf("c%02d.f%d", i, f) }
 
 // e15ClusterAudit is the experiment at its default scale.
 func e15ClusterAudit(workers int, machine func(string) *trace.Recorder) (*Result, error) {
-	return e15Cluster(e15Clients, workers, machine)
+	return e15Cluster(e15Clients, 0, workers, machine)
 }
 
 // e15Cluster runs the two-phase cluster experiment: a load phase (clients
 // store and divergently overwrite through the shard groups), seeded rot
 // struck between phases, then an audit phase (every replica a scavenging
 // daemon) that must drain only when the whole fleet has gone quiet. Every
-// reported metric is a function of the schedule alone.
-func e15Cluster(clients, workers int, machine func(string) *trace.Recorder) (*Result, error) {
+// reported metric is a function of the schedule alone. k offsets every seed
+// the run draws on — the wire's faults (15+k), each client's transport
+// (100+i+1000k) and each shard's rot (1500+s+1000k) — and 0 is the
+// published run.
+func e15Cluster(clients, k, workers int, machine func(string) *trace.Recorder) (*Result, error) {
 	if clients < 1 {
 		return nil, fmt.Errorf("e15: need at least 1 client machine, got %d", clients)
 	}
@@ -94,7 +97,7 @@ func e15Cluster(clients, workers int, machine func(string) *trace.Recorder) (*Re
 	wire := ether.New(nil)
 	wire.SetRecorder(recs.machine("wire"))
 	wire.InjectFaults(ether.FaultConfig{
-		Seed: 15,
+		Seed: uint64(15 + k),
 		Drop: ether.Rate{Num: 1, Den: 10},
 	})
 
@@ -161,7 +164,7 @@ func e15Cluster(clients, workers int, machine func(string) *trace.Recorder) (*Re
 			StartAt: time.Duration(i+1) * e15BootStagger,
 			Program: func(m *fleet.Machine) error {
 				cl := cluster.NewClient(c.Place, pup.NewEndpoint(st, pup.Config{
-					Seed:       uint64(i) + 100,
+					Seed:       uint64(100 + i + 1000*k),
 					MaxRTO:     time.Second,
 					MaxRetries: 300,
 				}))
@@ -224,7 +227,7 @@ func e15Cluster(clients, workers int, machine func(string) *trace.Recorder) (*Re
 	rotted := 0
 	for s := 0; s < e15Shards; s++ {
 		victim := c.Replicas[s*e15Replicas+s%e15Replicas]
-		struck := victim.Drive().Rot(sim.NewRand(uint64(1500+s)), e15RotSectors,
+		struck := victim.Drive().Rot(sim.NewRand(uint64(1500+s+1000*k)), e15RotSectors,
 			func(lbl disk.Label) bool {
 				return !lbl.FID.IsDirectory() && lbl.FID >= disk.FirstUserFID && lbl.PageNum >= 1
 			})

@@ -11,7 +11,7 @@ import (
 // and checks the headline acceptance: zero files lost, zero bytes corrupted,
 // every manufactured divergence detected and healed within a few rounds.
 func TestE15ClusterAudit(t *testing.T) {
-	r, err := e15Cluster(8, 1, nil)
+	r, err := e15Cluster(8, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,6 +32,23 @@ func TestE15ClusterAudit(t *testing.T) {
 	}
 }
 
+// TestE15SeedSweep holds the published claim to more than the published
+// seed: at the default client count, the run with every seed offset by k
+// must finish its audit and end with nothing lost or corrupted, for each k
+// of a fixed list that starts at the published run.
+func TestE15SeedSweep(t *testing.T) {
+	for k := 0; k < 16; k++ {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			r, err := e15Cluster(e15Clients, k, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, r, "files_lost", 0, 0)
+			check(t, r, "bytes_corrupted", 0, 0)
+		})
+	}
+}
+
 // TestE15Determinism pins the cluster's replay claim: every machine's trace
 // — every audit round, every heal, every packet of a two-phase run — and
 // every metric are byte-identical across repeated runs and widths, at the
@@ -40,7 +57,7 @@ func TestE15Determinism(t *testing.T) {
 	for _, clients := range []int{6, 4} {
 		t.Run(fmt.Sprintf("clients=%d", clients), func(t *testing.T) {
 			base, err := checkDeterminism(func(workers int, machine func(string) *trace.Recorder) (*Result, error) {
-				return e15Cluster(clients, workers, machine)
+				return e15Cluster(clients, 0, workers, machine)
 			}, 1<<14)
 			if err != nil {
 				t.Fatal(err)

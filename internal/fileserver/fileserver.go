@@ -85,6 +85,10 @@ type Server struct {
 	// so service order — and with it the trace — is deterministic.
 	sessions []*session
 	stats    Stats
+
+	// The current sweep covers sessions[:sweepLen] and serves next; a
+	// session accepted mid-sweep waits for the next one.
+	next, sweepLen int
 }
 
 // session is one client connection's server-side state.
@@ -93,6 +97,10 @@ type session struct {
 	opened time.Duration
 	moved  int64 // data bytes in either direction, for the trace span
 	flow   int64 // first client flow adopted, stamped on the session span
+
+	// quota is how many received messages the current sweep serves: those
+	// the session held when the sweep began. Later arrivals wait a sweep.
+	quota int
 
 	// outq is the pending outbound message queue; push drains it as the
 	// send window allows (backpressure, never blocking the poll loop).
@@ -128,9 +136,16 @@ func (s *Server) Stats() Stats {
 // rec reaches the medium's flight recorder (nil when tracing is off).
 func (s *Server) rec() *trace.Recorder { return s.ep.Station().TraceRecorder() }
 
-// Poll is the server's activity: one transport poll, new connections
-// accepted, every session advanced one step. Returns whether any work
-// happened, so activity-switching loops can tell busy from idle.
+// Poll is one step of the server's activity: one transport poll (receive,
+// ack, fire timers), new connections accepted, then the next session of the
+// current sweep that has work is served. A sweep serves each session the
+// messages it held when the sweep began, in accept order; when it ends the
+// next one begins, in the same call if need be. So between one session's
+// disk work and the next the caller's loop comes round again, and packets
+// that arrived meanwhile are acknowledged at once and answered in the next
+// sweep — §2's input below the main program. Returns whether any work
+// happened, so activity-switching loops can tell busy from idle: false
+// means a whole sweep begun in this call found nothing to do.
 func (s *Server) Poll() (bool, error) {
 	worked, err := s.ep.Poll()
 	if err != nil {
@@ -148,18 +163,38 @@ func (s *Server) Poll() (bool, error) {
 		s.stats.Sessions++
 		worked = true
 	}
-	live := s.sessions[:0]
-	for _, ss := range s.sessions {
-		w := s.serve(ss)
-		worked = worked || w
-		if ss.conn.State() == pup.StateClosed {
-			s.closeSession(ss)
+	began := false
+	for {
+		if s.next >= s.sweepLen {
+			if began {
+				return worked, nil
+			}
+			s.beginSweep()
+			began = true
 			continue
 		}
-		live = append(live, ss)
+		ss := s.sessions[s.next]
+		w := s.serve(ss)
+		if ss.conn.State() == pup.StateClosed {
+			s.closeSession(ss)
+			s.sessions = append(s.sessions[:s.next], s.sessions[s.next+1:]...)
+			s.sweepLen--
+		} else {
+			s.next++
+		}
+		if w {
+			return true, nil
+		}
 	}
-	s.sessions = live
-	return worked, nil
+}
+
+// beginSweep starts a sweep over every session accepted so far, each to
+// serve the messages it holds now.
+func (s *Server) beginSweep() {
+	s.next, s.sweepLen = 0, len(s.sessions)
+	for _, ss := range s.sessions {
+		ss.quota = ss.conn.Queued()
+	}
 }
 
 // closeSession retires a finished session, emitting its trace span. The span
@@ -174,10 +209,11 @@ func (s *Server) closeSession(ss *session) {
 	}
 }
 
-// serve advances one session: drain inbound messages, push outbound ones.
+// serve advances one session: handle its quota of inbound messages, push
+// outbound ones.
 func (s *Server) serve(ss *session) bool {
 	worked := false
-	for {
+	for ; ss.quota > 0; ss.quota-- {
 		msg, flow, ok := ss.conn.RecvFlow()
 		if !ok {
 			break

@@ -150,6 +150,9 @@ func (c *Conn) Err() error { return c.err }
 // means everything sent so far has provably arrived.
 func (c *Conn) Unacked() int { return len(c.sendQ) }
 
+// Queued returns the number of in-order messages received but not yet read.
+func (c *Conn) Queued() int { return len(c.recvQ) }
+
 // SetFlow sets the causal flow id stamped on messages sent from now on
 // (trace.Recorder.NextFlow allocates them; 0 clears). Each queued message
 // keeps the flow that was current when it was sent, so retransmissions stay
