@@ -389,8 +389,12 @@ func (e *Endpoint) dispatch(pkt ether.Packet) error {
 	case TypeOpen:
 		return e.handleOpen(pkt.Src, id, flow, c)
 	case TypeOpenAck:
-		if c != nil && c.state == StateOpening {
-			c.state = StateOpen
+		// The OpenAck retires the pending Open even when the dialer has
+		// begun closing meanwhile: the Close waits for that Open to clear.
+		if c != nil && c.ctrl.kind == TypeOpen {
+			if c.state == StateOpening {
+				c.state = StateOpen
+			}
 			c.peerAwnd = awnd
 			c.ctrl = ctrlState{}
 		}

@@ -697,6 +697,25 @@ func TestRetriesExhausted(t *testing.T) {
 	}
 }
 
+// TestCloseBeforeOpenAck closes a dialed connection before its OpenAck has
+// come back. The late OpenAck must still retire the pending Open, or the
+// Close never goes out and the Open retransmits until the retry cap kills
+// the connection.
+func TestCloseBeforeOpenAck(t *testing.T) {
+	_, srv, cli, _ := pair(t, Config{})
+	conn, err := cli.Dial(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pump(t, srv, cli, 100000, func() bool { return conn.State() == StateClosed })
+	if err := conn.Err(); err != nil {
+		t.Fatalf("close before the OpenAck ended in %v, want a clean close", err)
+	}
+}
+
 func TestMessageTooBig(t *testing.T) {
 	_, _, cli, _ := pair(t, Config{})
 	conn, err := cli.Dial(1)
