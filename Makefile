@@ -1,12 +1,13 @@
 # The pre-PR gate. `make check` is what CI (and a careful human) runs:
 # build everything, check formatting, run the stock vet, run the
-# domain-aware vet, then the tests under the race detector.
+# domain-aware vet, the replay and crash gates, the host-cost benchmark's
+# tests, then the tests under the race detector.
 
 GO ?= go
 
-.PHONY: check build fmt-check vet altovet vet-stats vet-baseline test race bench results determinism-check crash-check fmt
+.PHONY: check build fmt-check vet altovet vet-stats vet-baseline test race bench results determinism-check crash-check hostbench-test fmt
 
-check: build fmt-check vet altovet vet-stats determinism-check crash-check race
+check: build fmt-check vet altovet vet-stats determinism-check crash-check hostbench-test race
 
 build:
 	$(GO) build ./...
@@ -59,6 +60,13 @@ determinism-check:
 # any crash point fails to recover to a pack fsck certifies violation-free.
 crash-check:
 	$(GO) run ./cmd/altocrash -workload journaled-insert -points 64 -workers 8 -torn
+
+# hostbench-test runs the host-cost benchmark's own tests. hostbench/ is a
+# separate module that drives internal packages directly, so a change to an
+# internal API, or to the audit schedule its copy of the audit loop must
+# match, shows up here and nowhere else.
+hostbench-test:
+	cd hostbench && $(GO) test ./...
 
 # results rewrites the checked-in record of every experiment,
 # internal/experiments/testdata/results/<id>.json, from a traced one-worker

@@ -2,8 +2,11 @@
 // transport — the paper's §1 "remote facilities" grown past a demo: one
 // station, one file system, N concurrent sessions, each its own reliable
 // connection, multiplexed by (source address, connection id) and served
-// round-robin from the server's single poll loop (§2: the machine has no
-// scheduler, so concurrency is the server program's own business).
+// round-robin in sweeps, one session per Poll (§2: the machine has no
+// scheduler, so concurrency is the server program's own business). The
+// transport runs at the top of every Poll, as the Alto's input ran below
+// its main program: a packet is acknowledged when it arrives, and the
+// request it carries is answered when the sweep reaches its session.
 //
 // The wire protocol is word-level messages over pup connections:
 //
@@ -140,12 +143,12 @@ func (s *Server) rec() *trace.Recorder { return s.ep.Station().TraceRecorder() }
 // ack, fire timers), new connections accepted, then the next session of the
 // current sweep that has work is served. A sweep serves each session the
 // messages it held when the sweep began, in accept order; when it ends the
-// next one begins, in the same call if need be. So between one session's
-// disk work and the next the caller's loop comes round again, and packets
-// that arrived meanwhile are acknowledged at once and answered in the next
-// sweep — §2's input below the main program. Returns whether any work
-// happened, so activity-switching loops can tell busy from idle: false
-// means a whole sweep begun in this call found nothing to do.
+// next one begins, in the same call if need be. So the caller's loop comes
+// round between one session's disk work and the next, and packets that
+// arrived meanwhile are acknowledged at once and answered in the next sweep.
+// Returns whether any work happened, so activity-switching loops can tell
+// busy from idle: false means the transport moved nothing and a whole sweep
+// begun in this call found no session with work.
 func (s *Server) Poll() (bool, error) {
 	worked, err := s.ep.Poll()
 	if err != nil {

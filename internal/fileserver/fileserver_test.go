@@ -269,3 +269,61 @@ func TestSessionSpanTraced(t *testing.T) {
 		t.Fatalf("active sessions = %d, want 0", st.Active)
 	}
 }
+
+// TestPollStepsOneSession pins Poll's contract under concurrent load. A Poll
+// that worked ran at most one request's disk work, so the caller's loop comes
+// round between sessions; a Poll that reports no work leaves no received
+// message unread, or an idle caller would sleep on a request that has already
+// arrived.
+func TestPollStepsOneSession(t *testing.T) {
+	const n = 4
+	_, srv, clients, _ := fixture(t, n)
+	for i, c := range clients {
+		if err := c.Store("f"+string(rune('a'+i)), pattern(2*disk.PageBytes+100*i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	contended := false
+	for step := 0; ; step++ {
+		if step == 200000 {
+			t.Fatal("stores never completed")
+		}
+		before := srv.Stats()
+		worked, err := srv.Poll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := srv.Stats()
+		if d := after.Stores - before.Stores; d > 1 {
+			t.Fatalf("one Poll landed %d stores, want at most 1", d)
+		}
+		waiting := 0
+		for _, ss := range srv.sessions {
+			if ss.conn.Queued() > 0 {
+				waiting++
+			}
+		}
+		if !worked && waiting > 0 {
+			t.Fatalf("Poll reported no work while %d sessions hold unread messages", waiting)
+		}
+		contended = contended || waiting > 1
+		done := true
+		for _, c := range clients {
+			if _, err := c.Poll(); err != nil {
+				t.Fatal(err)
+			}
+			done = done && c.Done()
+		}
+		if done {
+			break
+		}
+	}
+	if !contended {
+		t.Fatal("no two sessions ever waited at once; the test exercised nothing")
+	}
+	for i, c := range clients {
+		if _, err := c.Result(); err != nil {
+			t.Fatalf("client %d store: %v", i, err)
+		}
+	}
+}
