@@ -258,19 +258,7 @@ func (r *Replica) Poll() (bool, error) {
 // ServeProgram is the replica's life as a pure file server (no audits): the
 // fleet daemon program for a cluster under client load.
 func (r *Replica) ServeProgram() func(*fleet.Machine) error {
-	return func(m *fleet.Machine) error {
-		for !m.Draining() {
-			m.Sync()
-			worked, err := r.Poll()
-			if err != nil {
-				return err
-			}
-			if !worked {
-				m.Idle()
-			}
-		}
-		return nil
-	}
+	return func(m *fleet.Machine) error { return m.PollUntil(m.Draining, r.Poll) }
 }
 
 // AuditProgram is the replica's life as a scavenging daemon: serve peers,

@@ -577,3 +577,40 @@ func TestSingletonWindowAllocatesNothing(t *testing.T) {
 		t.Fatalf("a singleton window allocates %v times, want 0", allocs)
 	}
 }
+
+// TestPollUntil pins the actor contract's loop: a condition that already
+// holds costs no poll, a poll that did no work parks the machine until its
+// requested deadline, and the first poll error ends the loop.
+func TestPollUntil(t *testing.T) {
+	eng := New(Medium(ether.New(nil)))
+	clk := sim.NewClock()
+	boom := errors.New("boom")
+	eng.Add(MachineConfig{Name: "m", Clock: clk, Program: func(m *Machine) error {
+		if err := m.PollUntil(func() bool { return true }, func() (bool, error) {
+			t.Error("polled although done already held")
+			return true, nil
+		}); err != nil {
+			return err
+		}
+		// Four polls, every other one idle on a deadline a millisecond out:
+		// two parks, two milliseconds.
+		polls := 0
+		if err := m.PollUntil(func() bool { return polls == 4 }, func() (bool, error) {
+			polls++
+			clk.RequestWake(clk.Now() + time.Millisecond)
+			return polls%2 == 0, nil
+		}); err != nil {
+			return err
+		}
+		if now := clk.Now(); now != 2*time.Millisecond {
+			t.Errorf("clock at %v after two idle polls, want 2ms", now)
+		}
+		if err := m.PollUntil(func() bool { return false }, func() (bool, error) { return true, boom }); !errors.Is(err, boom) {
+			t.Errorf("PollUntil returned %v, want the poll's error", err)
+		}
+		return nil
+	}})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

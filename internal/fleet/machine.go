@@ -88,11 +88,12 @@ func (m *Machine) Clock() *sim.Clock { return m.clock }
 func (m *Machine) Draining() bool { return m.draining }
 
 // Sync parks the machine if its local clock has reached the window horizon.
-// The actor contract: call Sync before every observation of the ether. A
-// machine is free to overrun the horizon on its own work (disk transfers
-// routinely do), but before it looks at the wire again it must let the
-// window catch up, or it would poll for packets that concurrently running
-// machines may not have sent yet.
+// The actor contract: call Sync before every observation of the ether
+// (PollUntil is the contract's loop, written once). A machine is free to
+// overrun the horizon on its own work (disk transfers routinely do), but
+// before it looks at the wire again it must let the window catch up, or it
+// would poll for packets that concurrently running machines may not have
+// sent yet.
 func (m *Machine) Sync() {
 	for m.clock.Now() >= m.horizon {
 		m.park(m.clock.Now())
@@ -113,6 +114,24 @@ func (m *Machine) Idle() {
 		wake = d
 	}
 	m.park(wake)
+}
+
+// PollUntil is the actor contract as code: until done reports true, Sync,
+// run one poll, and Idle if the poll did no work. It returns the first
+// error a poll reports. done is checked before every Sync, so a condition
+// that already holds costs no park at all.
+func (m *Machine) PollUntil(done func() bool, poll func() (bool, error)) error {
+	for !done() {
+		m.Sync()
+		worked, err := poll()
+		if err != nil {
+			return err
+		}
+		if !worked {
+			m.Idle()
+		}
+	}
+	return nil
 }
 
 // park yields control to the engine with the given next wake time and
