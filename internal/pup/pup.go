@@ -24,7 +24,7 @@
 //     above the ack the receiver already buffered; the sender retransmits
 //     only the holes;
 //   - acks are delayed and batched: one ack per Config.AckEvery in-order
-//     packets or per Config.AckDelay of simulated time, whichever first;
+//     packets or per ackDelay (2 ms) of simulated time, whichever first;
 //     duplicates, reordering and hole fills ack immediately (the sender
 //     needs the news), and every outbound data packet piggybacks the
 //     current ack state for free;
@@ -32,7 +32,7 @@
 //     without waiting for a timer (and halve the congestion window);
 //   - the retransmission timeout adapts: each clean RTT sample (Karn's
 //     rule — never from a retransmitted packet) feeds Jacobson's
-//     estimator, RTO = srtt + 4·rttvar clamped to [MinRTO, MaxRTO], with
+//     estimator, RTO = srtt + 4·rttvar clamped to [minRTO, MaxRTO], with
 //     exponential backoff per packet while it keeps timing out;
 //   - the sender's effective window is min(cwnd, peer's advertised
 //     window, Config.Window): cwnd is an integer AIMD congestion window
@@ -123,43 +123,46 @@ var (
 	ErrTooBig = errors.New("pup: message exceeds MaxData words")
 )
 
+// The transport's fixed timings and budgets. No caller tunes them; the
+// Config fields below are the ones that vary between deployments and tests.
+const (
+	// recvWindow is the per-connection receive budget, in packets:
+	// undelivered in-order messages plus buffered out-of-order ones.
+	// It is advertised on every outbound packet; the advertisement is
+	// floored at one packet so a closed window can never deadlock the
+	// conversation (the one-in-flight trickle re-opens it as the
+	// application drains). It equals sackSpan, so every buffered packet
+	// is SACK-visible.
+	recvWindow = sackSpan
+	// initialRTO is the retransmission timeout used before the first RTT
+	// sample lands — above a few full windows' serialization on the
+	// 3 Mb/s wire. Once samples flow, the Jacobson estimator replaces it.
+	initialRTO = 40 * time.Millisecond
+	// minRTO floors the adaptive timeout: below it, scheduling jitter
+	// between polls would fire timers on packets that are merely waiting
+	// their turn.
+	minRTO = 10 * time.Millisecond
+	// idleTick is how far Poll advances the simulated clock when it did
+	// no work but timers are pending — the cost of one spin of the §2
+	// poll loop; without it a silent wire would freeze simulated time
+	// and no timeout could ever fire.
+	idleTick = 200 * time.Microsecond
+	// ackDelay is how long a lone in-order data packet may wait for
+	// company (or a reply to piggyback on) before it is acked anyway.
+	ackDelay = 2 * time.Millisecond
+)
+
 // Config tunes an Endpoint. The zero value selects the defaults.
 type Config struct {
 	// Window caps the number of unacked data packets per connection no
 	// matter what cwnd and the peer allow (default 32).
 	Window int
-	// RecvWindow is the per-connection receive budget, in packets:
-	// undelivered in-order messages plus buffered out-of-order ones.
-	// It is advertised on every outbound packet; the advertisement is
-	// floored at one packet so a closed window can never deadlock the
-	// conversation (the one-in-flight trickle re-opens it as the
-	// application drains). Default 32 (= sackSpan, so every buffered
-	// packet is SACK-visible).
-	RecvWindow int
-	// RTO is the retransmission timeout used before the first RTT
-	// sample lands (default 40 ms — above a few full windows'
-	// serialization on the 3 Mb/s wire). Once samples flow, the
-	// Jacobson estimator replaces it.
-	RTO time.Duration
-	// MinRTO floors the adaptive timeout: below it, scheduling jitter
-	// between polls would fire timers on packets that are merely
-	// waiting their turn (default 10 ms).
-	MinRTO time.Duration
 	// MaxRTO caps the adaptive timeout and its exponential backoff
 	// (default 120 ms).
 	MaxRTO time.Duration
 	// MaxRetries is the per-packet retransmission cap; one more silence
 	// kills the connection with ErrRetriesExhausted (default 10).
 	MaxRetries int
-	// IdleTick is how far Poll advances the simulated clock when it did
-	// no work but timers are pending — the cost of one spin of the §2
-	// poll loop; without it a silent wire would freeze simulated time
-	// and no timeout could ever fire (default 200 µs).
-	IdleTick time.Duration
-	// AckDelay is how long a lone in-order data packet may wait for
-	// company (or a reply to piggyback on) before it is acked anyway
-	// (default 2 ms).
-	AckDelay time.Duration
 	// AckEvery acks every Nth in-order data packet immediately, bounding
 	// how much news a delayed ack can sit on (default 4).
 	AckEvery int
@@ -174,26 +177,11 @@ func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 32
 	}
-	if c.RecvWindow <= 0 {
-		c.RecvWindow = sackSpan
-	}
-	if c.RTO <= 0 {
-		c.RTO = 40 * time.Millisecond
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = 10 * time.Millisecond
-	}
 	if c.MaxRTO <= 0 {
 		c.MaxRTO = 120 * time.Millisecond
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 10
-	}
-	if c.IdleTick <= 0 {
-		c.IdleTick = 200 * time.Microsecond
-	}
-	if c.AckDelay <= 0 {
-		c.AckDelay = 2 * time.Millisecond
 	}
 	if c.AckEvery <= 0 {
 		c.AckEvery = 4
@@ -296,7 +284,7 @@ func (e *Endpoint) newConn(remote ether.Addr, id uint16, st State, accepted bool
 		accepted: accepted,
 		cwnd:     e.cfg.InitCwnd,
 		ssthresh: e.cfg.Window,
-		peerAwnd: e.cfg.RecvWindow,
+		peerAwnd: recvWindow,
 	}
 }
 
@@ -310,7 +298,7 @@ func (e *Endpoint) add(c *Conn) {
 // fires due retransmission and delayed-ack timers, and reaps dead
 // connections. It returns whether it did any work, so activity-switching
 // loops can tell busy from idle; when it did none but timers are pending
-// it advances the simulated clock by one IdleTick (the spin cost that lets
+// it advances the simulated clock by one idleTick (the spin cost that lets
 // timeouts fire on a silent wire).
 func (e *Endpoint) Poll() (bool, error) {
 	worked := false
@@ -339,7 +327,7 @@ func (e *Endpoint) Poll() (bool, error) {
 	}
 	e.reap()
 	if !worked && waiting {
-		e.clock.Advance(e.cfg.IdleTick)
+		e.clock.Advance(idleTick)
 		// Surface the earliest pending timer so an event-driven scheduler
 		// (internal/fleet) can jump the clock straight to the deadline
 		// instead of burning idle ticks up to it. The single-machine path
@@ -468,12 +456,12 @@ func (e *Endpoint) sendPacket(c *Conn, typ ether.Word, seq, flow uint16, data []
 }
 
 // sendStateless answers for a connection this endpoint no longer (or never)
-// holds: no ack state to report, the window advertisement is the config
-// default. Used for CloseAcks to reaped connections.
+// holds: no ack state to report, the window advertisement is the full
+// recvWindow. Used for CloseAcks to reaped connections.
 func (e *Endpoint) sendStateless(to ether.Addr, typ ether.Word, id, flow uint16) error {
 	payload := make([]ether.Word, headerWords)
 	payload[0] = id
-	payload[3] = ether.Word(e.cfg.RecvWindow)
+	payload[3] = ether.Word(recvWindow)
 	payload[6] = flow
 	return e.st.Send(ether.Packet{Dst: to, Type: typ, Flow: flow, Payload: payload})
 }
