@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"altoos/internal/trace"
@@ -26,7 +27,7 @@ func TestE14FleetFanIn(t *testing.T) {
 	// A backlog must not turn into retransmissions: a server busy on one
 	// session's disk work still acknowledges the others, so five times the
 	// clients must not cost more retransmissions per client.
-	small, err := e14FanIn(20, 1, nil)
+	small, err := e14FanIn(20, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +39,28 @@ func TestE14FleetFanIn(t *testing.T) {
 	}
 }
 
+// TestE14SeedSweep holds the fan-in to more than the published seed: with
+// every seed offset by k, a hundred clients must still store, fetch back and
+// verify their payloads, for each k of a fixed list that starts at the
+// published run.
+func TestE14SeedSweep(t *testing.T) {
+	for k := 0; k < 16; k++ {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			r, err := e14FanIn(e14Machines, k, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%.2f s simulated, %.0f retransmits", r.Metrics["sim_seconds"], r.Metrics["retransmits"])
+		})
+	}
+}
+
 // TestE14Determinism is the subsystem's acceptance gate: every machine's
 // trace and every metric of a 20-Alto fan-in are byte-identical across
 // repeated runs and across worker-pool widths.
 func TestE14Determinism(t *testing.T) {
 	base, err := checkDeterminism(func(workers int, machine func(string) *trace.Recorder) (*Result, error) {
-		return e14FanIn(20, workers, machine)
+		return e14FanIn(20, 0, workers, machine)
 	}, 1<<14)
 	if err != nil {
 		t.Fatal(err)
