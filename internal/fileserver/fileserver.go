@@ -275,7 +275,7 @@ func (s *Server) handle(ss *session, msg []ether.Word, flow int64) {
 		// the delayed ack first so the client's RTT estimator never sees a
 		// disk stall where a wire round trip should be.
 		ss.conn.FlushAck()
-		data, err := s.readFile(name)
+		data, err := ReadFile(s.fs, name)
 		if err != nil {
 			ss.sendError(err.Error())
 			return
@@ -342,7 +342,7 @@ func (s *Server) handle(ss *session, msg []ether.Word, flow int64) {
 		// As with fetch: ack the tail of the store before the long write
 		// so the client does not retransmit into a silent disk stall.
 		ss.conn.FlushAck()
-		if err := s.writeFile(ss.storeName, ss.in); err != nil {
+		if err := WriteFile(s.fs, ss.storeName, ss.in); err != nil {
 			ss.sendError(err.Error())
 			return
 		}
@@ -377,14 +377,17 @@ func (ss *session) queueData(data []byte) {
 	ss.outq = append(ss.outq, packTotal(len(data)))
 }
 
-// readFile reads a whole named file: full interior pages in chained
-// batches, the partial last page on the one-page path.
-func (s *Server) readFile(name string) ([]byte, error) {
-	fn, err := dir.ResolveName(s.fs, name)
+// ReadFile reads a whole named file off fs in the server's byte layout
+// (big-endian bytes packed two to a word, the last page always partial):
+// full interior pages in chained batches, the partial last page on the
+// one-page path. The server answers fetches with it; a cluster replica
+// reads its own pack with it.
+func ReadFile(fs *file.FS, name string) ([]byte, error) {
+	fn, err := dir.ResolveName(fs, name)
 	if err != nil {
 		return nil, fmt.Errorf("no such file %q", name)
 	}
-	f, err := s.fs.Open(fn)
+	f, err := fs.Open(fn)
 	if err != nil {
 		return nil, fmt.Errorf("open %q failed", name)
 	}
@@ -409,24 +412,29 @@ func (s *Server) readFile(name string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("read %q last page failed", name)
 	}
+	count(fs, "fs.file.read")
 	return appendWords(out, buf[:], n), nil
 }
 
-// writeFile stores data under name: existing interior pages are overwritten
-// in chained batches, growth and the last page go through the one-page path,
-// and a shrinking store truncates the leftovers.
-func (s *Server) writeFile(name string, data []byte) error {
-	root, err := dir.OpenRoot(s.fs)
+// WriteFile stores data under name on fs, the inverse of ReadFile, creating
+// the file and its root directory entry if needed: existing interior pages
+// are overwritten in chained batches, growth and the last page go through
+// the one-page path, and a shrinking store truncates the leftovers. Every
+// page goes through the label-checked write path, which also refreshes the
+// sector checksums of any page rot left stale. The server lands stores with
+// it; a cluster replica heals its own copy with it.
+func WriteFile(fs *file.FS, name string, data []byte) error {
+	root, err := dir.OpenRoot(fs)
 	if err != nil {
 		return errors.New("no root directory")
 	}
 	var f *file.File
 	if fn, err := root.Lookup(name); err == nil {
-		if f, err = s.fs.Open(fn); err != nil {
+		if f, err = fs.Open(fn); err != nil {
 			return fmt.Errorf("open %q failed", name)
 		}
 	} else {
-		if f, err = s.fs.Create(name); err != nil {
+		if f, err = fs.Create(name); err != nil {
 			return errors.New("disk full")
 		}
 		if err := root.Insert(name, f.FN()); err != nil {
@@ -486,7 +494,15 @@ func (s *Server) writeFile(name string, data []byte) error {
 	if err := f.Sync(); err != nil {
 		return fmt.Errorf("sync %q failed", name)
 	}
+	count(fs, "fs.file.write")
 	return nil
+}
+
+// count bumps a counter on the recorder of fs's drive, if it has one.
+func count(fs *file.FS, name string) {
+	if drv, ok := fs.Device().(*disk.Drive); ok {
+		drv.TraceRecorder().Add(name, 1)
+	}
 }
 
 // fillPage packs the pn-th (1-based) page of data into buf, zero-padded.
