@@ -175,7 +175,7 @@ func (r *netRig) closeAll() error {
 			if _, err := c.Poll(); err != nil {
 				return err
 			}
-			if c.Conn().State() != pup.StateClosed {
+			if !c.Closed() {
 				open = true
 			}
 			return nil

@@ -185,11 +185,14 @@ func (c *Client) Result() ([]byte, error) {
 	return c.data, c.failure
 }
 
-// Close begins a graceful close of the connection; poll until the conn
-// reports StateClosed.
+// Close begins a graceful close of the connection; poll until Closed.
 func (c *Client) Close() error {
 	if c.conn == nil {
 		return nil
 	}
 	return c.conn.Close()
 }
+
+// Closed reports whether the connection is gone: the close handshake done,
+// the connection dead (see Conn().Err), or never dialed.
+func (c *Client) Closed() bool { return c.conn == nil || c.conn.State() == pup.StateClosed }
