@@ -82,11 +82,16 @@ results:
 		$(GO) run ./cmd/altofleet -json -workers 1 -experiment $$id > $(RESULTS_DIR)/$$id.json || exit 1; \
 	done
 
-# bench measures the host cost of every experiment: ns/op and allocs/op of
-# one run each (E14 at one worker and at eight). It prints and writes no
-# file; the simulated results are checked exactly by go test instead.
+# bench measures host cost: ns/op and allocs/op of one run of every
+# experiment (E14 at one worker and at eight), then of one iteration of each
+# per-layer rung (a disk op, chain and format; a directory lookup; a wire
+# delivery; a pup exchange; a fleet window). One iteration makes a rung's
+# ns/op rough, but its allocs/op exact. It prints and writes no file; the
+# simulated results are checked exactly by go test instead.
+BENCH_LAYERS = ./internal/disk ./internal/dir ./internal/ether ./internal/pup ./internal/fleet
+
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . $(BENCH_LAYERS)
 
 # fmt rewrites every unformatted file in place; fmt-check is its gate form,
 # part of check: it lists the unformatted files and fails if there are any.

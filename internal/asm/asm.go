@@ -64,32 +64,9 @@ func Assemble(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Pass 1: assign locations, collect symbols.
-	syms := map[string]Word{}
-	loc := Word(0x400) // conventional load point (§5.1: "low memory addresses")
-	for i := range stmts {
-		st := &stmts[i]
-		if st.mnem == ".org" {
-			v, err := evalNum(st.args[0])
-			if err != nil {
-				return nil, lineErr(st.line, "bad .org: %v", err)
-			}
-			loc = v
-		}
-		if st.label != "" {
-			if _, dup := syms[st.label]; dup {
-				return nil, lineErr(st.line, "duplicate label %q", st.label)
-			}
-			syms[st.label] = loc
-		}
-		st.loc = loc
-		n, err := sizeOf(st)
-		if err != nil {
-			return nil, lineErr(st.line, "%v", err)
-		}
-		st.nwords = n
-		loc += Word(n)
+	syms, err := locate(stmts)
+	if err != nil {
+		return nil, err
 	}
 
 	// Pass 2: encode.
@@ -124,6 +101,37 @@ func Assemble(src string) (*Program, error) {
 		entry = e
 	}
 	return &Program{Origin: origin, Words: out, Entry: entry, Symbols: syms}, nil
+}
+
+// locate is pass 1: it assigns every statement its location and size and
+// returns the symbol table.
+func locate(stmts []statement) (map[string]Word, error) {
+	syms := map[string]Word{}
+	loc := Word(0x400) // conventional load point (§5.1: "low memory addresses")
+	for i := range stmts {
+		st := &stmts[i]
+		if st.mnem == ".org" {
+			v, err := evalNum(st.args[0])
+			if err != nil {
+				return nil, lineErr(st.line, "bad .org: %v", err)
+			}
+			loc = v
+		}
+		if st.label != "" {
+			if _, dup := syms[st.label]; dup {
+				return nil, lineErr(st.line, "duplicate label %q", st.label)
+			}
+			syms[st.label] = loc
+		}
+		st.loc = loc
+		n, err := sizeOf(st)
+		if err != nil {
+			return nil, lineErr(st.line, "%v", err)
+		}
+		st.nwords = n
+		loc += Word(n)
+	}
+	return syms, nil
 }
 
 // MustAssemble panics on error; for tests and fixed embedded programs.
@@ -176,6 +184,12 @@ func parse(src string) ([]statement, error) {
 		}
 		if st.label == "" && st.mnem == "" {
 			continue
+		}
+		switch st.mnem {
+		case ".org", ".blk", ".txt":
+			if len(st.args) != 1 {
+				return nil, lineErr(line, "%s needs one operand", st.mnem)
+			}
 		}
 		stmts = append(stmts, st)
 	}

@@ -40,10 +40,14 @@ type Entry struct {
 	FN   file.FN
 }
 
-// Directory is an open directory file.
+// Directory is an open directory file. Like the file handle under it, a
+// Directory is not safe for concurrent use.
 type Directory struct {
 	fs *file.FS
 	f  *file.File
+	// page is the buffer every scan and Insert reads pages into, so
+	// looking a name up allocates nothing.
+	page [disk.PageWords]disk.Word
 }
 
 // Entry serialization, in words:
@@ -121,58 +125,85 @@ func (d *Directory) FN() file.FN { return d.f.FN() }
 // File returns the underlying file, for the Scavenger and tools.
 func (d *Directory) File() *file.File { return d.f }
 
-// Load parses every entry. Damage is reported as ErrFormat; the caller (or
-// the Scavenger) decides what to do about it.
+// Load parses every entry. Damage is reported as ErrFormat, together with
+// the entries before it; the caller (or the Scavenger) decides what to do
+// about it.
 func (d *Directory) Load() ([]Entry, error) {
 	var entries []Entry
-	var buf [disk.PageWords]disk.Word
+	err := d.scan(func(buf *[disk.PageWords]disk.Word, i int) {
+		entries = append(entries, Entry{Name: entryName(buf, i), FN: entryFN(buf, i)})
+	})
+	if err != nil && !errors.Is(err, ErrFormat) {
+		return nil, err
+	}
+	return entries, err
+}
+
+// scan is the parser every directory read goes through (Insert's
+// appending pass aside). It reads the pages in order into d.page, calls visit with the word offset of each entry, and stops at the
+// end mark; every page up to that mark is read even after the entry a
+// caller wanted, so a lookup costs the same simulated time whether or not
+// it hits. An entry whose length or name length does not fit ends the scan
+// with ErrFormat before it is visited; a failed page read ends it with the
+// read's error.
+func (d *Directory) scan(visit func(buf *[disk.PageWords]disk.Word, i int)) error {
+	buf := &d.page
 	lastPN := d.f.LastPN()
 	for pn := disk.Word(1); pn <= lastPN; pn++ {
-		n, err := d.f.ReadPage(pn, &buf)
+		n, err := d.f.ReadPage(pn, buf)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		words := (n + 1) / 2
 		i := 0
 		for i < words {
 			switch buf[i] {
 			case endMark:
-				return entries, nil
+				return nil
 			case padMark:
 				i = words // next page
 				continue
 			}
 			length := int(buf[i])
 			if length < entryFixed+1 || i+length > words {
-				return entries, fmt.Errorf("%w: entry length %d at page %d word %d", ErrFormat, length, pn, i)
+				return fmt.Errorf("%w: entry length %d at page %d word %d", ErrFormat, length, pn, i)
 			}
 			nameLen := int(buf[i+5])
 			if nameLen > 2*(length-entryFixed) {
-				return entries, fmt.Errorf("%w: name length %d in %d-word entry", ErrFormat, nameLen, length)
+				return fmt.Errorf("%w: name length %d in %d-word entry", ErrFormat, nameLen, length)
 			}
-			var nb [maxName + 2]byte // stack scratch: one allocation per name, not two
-			for j := 0; j < nameLen; j++ {
-				w := buf[i+entryFixed+j/2]
-				if j%2 == 0 {
-					nb[j] = byte(w >> 8)
-				} else {
-					nb[j] = byte(w)
-				}
-			}
-			entries = append(entries, Entry{
-				Name: string(nb[:nameLen]),
-				FN: file.FN{
-					FV: disk.FV{
-						FID:     disk.FID(buf[i+1])<<16 | disk.FID(buf[i+2]),
-						Version: buf[i+3],
-					},
-					Leader: disk.VDA(buf[i+4]),
-				},
-			})
+			visit(buf, i)
 			i += length
 		}
 	}
-	return entries, nil
+	return nil
+}
+
+// entryFN decodes the full name of the entry at word offset i.
+func entryFN(buf *[disk.PageWords]disk.Word, i int) file.FN {
+	return file.FN{
+		FV: disk.FV{
+			FID:     disk.FID(buf[i+1])<<16 | disk.FID(buf[i+2]),
+			Version: buf[i+3],
+		},
+		Leader: disk.VDA(buf[i+4]),
+	}
+}
+
+// entryName decodes the name of the entry at word offset i, which scan has
+// checked fits inside the entry.
+func entryName(buf *[disk.PageWords]disk.Word, i int) string {
+	nameLen := int(buf[i+5])
+	var nb [maxName + 2]byte // stack scratch: one allocation per name, not two
+	for j := 0; j < nameLen; j++ {
+		w := buf[i+entryFixed+j/2]
+		if j%2 == 0 {
+			nb[j] = byte(w >> 8)
+		} else {
+			nb[j] = byte(w)
+		}
+	}
+	return string(nb[:nameLen])
 }
 
 // store rewrites the directory file to contain exactly these entries.
@@ -298,34 +329,42 @@ func pageTailLen(p [disk.PageWords]disk.Word) int {
 	return length
 }
 
-// Lookup finds the full name bound to name.
+// Lookup finds the full name bound to name: the first entry carrying it.
 func (d *Directory) Lookup(name string) (file.FN, error) {
-	entries, err := d.Load()
-	if err != nil {
-		return file.FN{}, err
-	}
-	for _, e := range entries {
-		if e.Name == name {
-			return e.FN, nil
+	var fn file.FN
+	found := false
+	err := d.scan(func(buf *[disk.PageWords]disk.Word, i int) {
+		if !found && entryNameIs(buf, i, name) {
+			fn, found = entryFN(buf, i), true
 		}
+	})
+	switch {
+	case err != nil:
+		return file.FN{}, err
+	case !found:
+		return file.FN{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return file.FN{}, fmt.Errorf("%w: %q", ErrNotFound, name)
+	return fn, nil
 }
 
 // LookupFV finds an entry by (FID, version), returning its recorded leader
 // address hint. Used by the §3.6 ladder when a program holds a valid FV but
 // a stale address.
 func (d *Directory) LookupFV(fv disk.FV) (file.FN, error) {
-	entries, err := d.Load()
-	if err != nil {
-		return file.FN{}, err
-	}
-	for _, e := range entries {
-		if e.FN.FV == fv {
-			return e.FN, nil
+	var fn file.FN
+	found := false
+	err := d.scan(func(buf *[disk.PageWords]disk.Word, i int) {
+		if e := entryFN(buf, i); !found && e.FV == fv {
+			fn, found = e, true
 		}
+	})
+	switch {
+	case err != nil:
+		return file.FN{}, err
+	case !found:
+		return file.FN{}, fmt.Errorf("%w: %v", ErrNotFound, fv)
 	}
-	return file.FN{}, fmt.Errorf("%w: %v", ErrNotFound, fv)
+	return fn, nil
 }
 
 // Insert binds name to fn. The name must not already be present.
@@ -340,12 +379,12 @@ func (d *Directory) Insert(name string, fn file.FN) error {
 	}
 	length := entryFixed + (len(name)+1)/2
 	lastPN := d.f.LastPN()
-	var buf [disk.PageWords]disk.Word
+	buf := &d.page
 	endPN, endAt := disk.Word(0), 0
 scan:
 	for pn := disk.Word(1); pn <= lastPN; pn++ {
-		buf = [disk.PageWords]disk.Word{}
-		n, err := d.f.ReadPage(pn, &buf)
+		*buf = [disk.PageWords]disk.Word{}
+		n, err := d.f.ReadPage(pn, buf)
 		if err != nil {
 			return err
 		}
@@ -360,10 +399,10 @@ scan:
 				continue scan
 			}
 			l := int(buf[i])
-			if l < entryFixed+1 || i+l > words {
+			if l < entryFixed+1 || i+l > words || int(buf[i+5]) > 2*(l-entryFixed) {
 				break scan // malformed: let the slow path report it
 			}
-			if entryNameIs(&buf, i, name) {
+			if entryNameIs(buf, i, name) {
 				return fmt.Errorf("%w: %q", ErrExists, name)
 			}
 			i += l
@@ -390,19 +429,19 @@ scan:
 	if endAt+length+1 > disk.PageWords { // +1 for the end mark
 		// Pad the tail page to a full interior page, then start a new tail.
 		buf[endAt] = padMark
-		if err := d.f.WritePage(endPN, &buf, disk.PageBytes); err != nil {
+		if err := d.f.WritePage(endPN, buf, disk.PageBytes); err != nil {
 			return err
 		}
-		buf = [disk.PageWords]disk.Word{}
-		used := putEntry(&buf, 0, e)
+		*buf = [disk.PageWords]disk.Word{}
+		used := putEntry(buf, 0, e)
 		buf[used] = endMark
-		if err := d.f.WritePage(endPN+1, &buf, pageTailLen(buf)); err != nil {
+		if err := d.f.WritePage(endPN+1, buf, pageTailLen(*buf)); err != nil {
 			return err
 		}
 	} else {
-		used := putEntry(&buf, endAt, e)
+		used := putEntry(buf, endAt, e)
 		buf[used] = endMark
-		if err := d.f.WritePage(endPN, &buf, pageTailLen(buf)); err != nil {
+		if err := d.f.WritePage(endPN, buf, pageTailLen(*buf)); err != nil {
 			return err
 		}
 	}
@@ -490,14 +529,14 @@ func Walk(fs *file.FS, start file.FN, visit func(*Directory) error) error {
 		if err := visit(d); err != nil {
 			return err
 		}
-		entries, err := d.Load()
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			if e.FN.FV.FID.IsDirectory() && !seen[e.FN.FV] {
-				queue = append(queue, e.FN)
+		n := len(queue)
+		err = d.scan(func(buf *[disk.PageWords]disk.Word, i int) {
+			if fn := entryFN(buf, i); fn.FV.FID.IsDirectory() && !seen[fn.FV] {
+				queue = append(queue, fn)
 			}
+		})
+		if err != nil {
+			queue = queue[:n] // a damaged directory contributes no children
 		}
 	}
 	return nil

@@ -289,3 +289,26 @@ func TestDamagedDirectoryReportsFormat(t *testing.T) {
 		t.Fatalf("got %v, want ErrFormat", err)
 	}
 }
+
+// TestInsertIntoDamagedPageReportsFormat: an entry whose name-length word
+// claims more bytes than the entry holds is damage to Insert as it is to
+// Load. Insert once compared names through it, past the end of the page
+// buffer when the claimed name ran off the page.
+func TestInsertIntoDamagedPageReportsFormat(t *testing.T) {
+	var raw []byte
+	w := func(ws ...disk.Word) {
+		for _, x := range ws {
+			raw = append(raw, byte(x>>8), byte(x))
+		}
+	}
+	for i := 0; i < 34; i++ {
+		w(7, 0, 0x300, 1, 5, 1, 0x6100)
+	}
+	w(11, 0, 0x301, 1, 5, 1, 0x6200, 0, 0, 0, 0)
+	w(7, 0, 0x302, 1, 5, 20, 0x7171) // claims a 20-byte name from word 255 on
+	w(endMark)
+	_, d := scanFixture(t, raw)
+	if err := d.Insert(strings.Repeat("q", 20), d.FN()); !errors.Is(err, ErrFormat) {
+		t.Fatalf("Insert into a damaged page: %v, want ErrFormat", err)
+	}
+}

@@ -253,15 +253,38 @@ func NewDrive(g Geometry, pack Word, clock *sim.Clock) (*Drive, error) {
 		geom:             g,
 		clock:            clock,
 		pack:             pack,
-		sectors:          make([]sector, g.NSectors()),
+		sectors:          formatted(g.NSectors()),
 		crashAfterWrites: -1,
 	}
 	for i := range d.sectors {
 		d.sectors[i].header = Header{Pack: pack, Addr: VDA(i)}.Words()
-		d.sectors[i].label = freeLabelWords
-		d.sectors[i].value = onesValue // block copy: this loop is format time
 	}
 	return d, nil
+}
+
+// formatTemplate is a Diablo31-sized run of freshly formatted sectors: the
+// free label and the all-ones value, with headers left for NewDrive to
+// stamp. It is built once at init and only read after that.
+var formatTemplate = func() []sector {
+	t := make([]sector, Diablo31().NSectors())
+	for i := range t {
+		t[i].label = freeLabelWords
+		t[i].value = onesValue
+	}
+	return t
+}()
+
+// formatted returns n freshly formatted sectors, copied from the template;
+// NewDrive then stamps each header. Appending into a nil slice allocates
+// without zeroing the new array first, so formatting a pack is one pass
+// over its memory rather than a clear followed by a fill. A pack larger
+// than the template appends it in pieces.
+func formatted(n int) []sector {
+	s := append([]sector(nil), formatTemplate[:min(n, len(formatTemplate))]...)
+	for len(s) < n {
+		s = append(s, formatTemplate[:min(n-len(s), len(formatTemplate))]...)
+	}
+	return s
 }
 
 // SetRecorder attaches a flight recorder to the drive (nil detaches). Every

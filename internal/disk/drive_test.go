@@ -9,11 +9,11 @@ import (
 	"altoos/internal/sim"
 )
 
-func newTestDrive(t *testing.T) *Drive {
-	t.Helper()
+func newTestDrive(tb testing.TB) *Drive {
+	tb.Helper()
 	d, err := NewDrive(Diablo31(), 1, nil)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return d
 }

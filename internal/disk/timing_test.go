@@ -215,24 +215,16 @@ func TestGoldenAllocFreeCostExactlyOneRevolution(t *testing.T) {
 // allocates nothing.
 func TestUntracedHotPathAllocationFree(t *testing.T) {
 	d := newTestDrive(t)
-	var hdr [HeaderWords]Word
-	var lbl [LabelWords]Word
-	var val [PageWords]Word
-	op := Op{Addr: 5, Header: Read, HeaderData: &hdr, Label: Read, LabelData: &lbl, Value: Read, ValueData: &val}
+	op := hotOp()
 	if a := testing.AllocsPerRun(200, func() {
-		if err := d.Do(&op); err != nil {
+		if err := d.Do(op); err != nil {
 			t.Fatal(err)
 		}
 	}); a != 0 {
 		t.Errorf("untraced Do allocates %.1f objects per op, want 0", a)
 	}
 
-	addrs := make([]VDA, 24)
-	for i := range addrs {
-		addrs[i] = VDA((i * 7) % 48) // scattered: exercise the scheduler
-	}
-	lbls := make([][LabelWords]Word, len(addrs))
-	ops := readOps(addrs, lbls)
+	ops := hotChain()
 	for _, mode := range []ChainMode{Ordered, FreeOrder} {
 		if a := testing.AllocsPerRun(50, func() {
 			if errs := d.DoChain(ops, mode); errs != nil {
@@ -240,6 +232,51 @@ func TestUntracedHotPathAllocationFree(t *testing.T) {
 			}
 		}); a != 0 {
 			t.Errorf("untraced DoChain(%v) allocates %.1f objects per chain, want 0", mode, a)
+		}
+	}
+}
+
+// hotOp is a three-part read of one sector, the hot path's single op.
+func hotOp() *Op {
+	var hdr [HeaderWords]Word
+	var lbl [LabelWords]Word
+	var val [PageWords]Word
+	return &Op{Addr: 5, Header: Read, HeaderData: &hdr, Label: Read, LabelData: &lbl, Value: Read, ValueData: &val}
+}
+
+// hotChain is 24 label reads scattered over four tracks, so a FreeOrder
+// chain exercises the scheduler.
+func hotChain() []Op {
+	addrs := make([]VDA, 24)
+	for i := range addrs {
+		addrs[i] = VDA((i * 7) % 48)
+	}
+	return readOps(addrs, make([][LabelWords]Word, len(addrs)))
+}
+
+// BenchmarkDo reports the host cost of one untraced sector operation.
+func BenchmarkDo(b *testing.B) {
+	d := newTestDrive(b)
+	op := hotOp()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.Do(op); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDoChainFreeOrder reports the host cost of one untraced
+// 24-operation FreeOrder chain.
+func BenchmarkDoChainFreeOrder(b *testing.B) {
+	d := newTestDrive(b)
+	ops := hotChain()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if errs := d.DoChain(ops, FreeOrder); errs != nil {
+			b.Fatal(FirstChainError(errs))
 		}
 	}
 }

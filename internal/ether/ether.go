@@ -372,7 +372,9 @@ func (s *Station) Network() *Network { return s.net }
 func (s *Station) Addr() Addr { return s.addr }
 
 // Send transmits a packet (source filled in), charging wire time against
-// the sender's clock.
+// the sender's clock. The wire serializes the payload: Send copies it
+// before it returns and keeps no reference, so the caller may reuse the
+// payload's backing array at once.
 func (s *Station) Send(p Packet) error {
 	if len(p.Payload) > MaxPayload {
 		return fmt.Errorf("%w: %d words", ErrTooBig, len(p.Payload))

@@ -69,6 +69,42 @@ func TestSendRecvAllocatesOnlyThePayload(t *testing.T) {
 	}
 }
 
+// TestSendCopiesPayload pins Send's contract: the wire serializes the
+// payload before Send returns, so a sender that overwrites its buffer at
+// once, as pup's endpoints do, cannot change a packet already sent —
+// whether it was queued at the receiver at once (shared clock) or is held
+// until its arrival time (fleet mode).
+func TestSendCopiesPayload(t *testing.T) {
+	shared := New(nil)
+	sa, err := shared.Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := shared.Attach(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := fleetWire(t, 2)
+	for _, pair := range [][2]*Station{{sa, sb}, {fleet[0], fleet[1]}} {
+		a, b := pair[0], pair[1]
+		buf := []Word{1, 2, 3}
+		if err := a.Send(Packet{Dst: b.Addr(), Payload: buf}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xDEAD
+		}
+		b.Clock().AdvanceTo(a.Clock().Now())
+		p, ok := b.Recv()
+		if !ok {
+			t.Fatal("no packet delivered")
+		}
+		if fmt.Sprint(p.Payload) != "[1 2 3]" || !p.SumOK() {
+			t.Fatalf("delivered payload %v (checksum ok %v) changed with the sender's buffer", p.Payload, p.SumOK())
+		}
+	}
+}
+
 // modelHeld is one delivery in the brute-force promotion model.
 type modelHeld struct {
 	release time.Duration

@@ -217,6 +217,10 @@ type Endpoint struct {
 	order     []*Conn
 	listening bool
 	backlog   []*Conn
+
+	// pkt is where every outbound packet is built. Station.Send copies
+	// the payload before it returns, so one buffer serves every send.
+	pkt [ether.MaxPayload]ether.Word
 }
 
 // NewEndpoint builds an endpoint on a station. The clock is the station's
@@ -445,11 +449,11 @@ func (e *Endpoint) handleOpen(from ether.Addr, id, flow uint16, c *Conn) error {
 func (e *Endpoint) sendPacket(c *Conn, typ ether.Word, seq, flow uint16, data []ether.Word) error {
 	awnd := c.awnd()
 	sackLo, sackHi := c.sackMask()
-	payload := make([]ether.Word, headerWords+len(data))
+	payload := e.pkt[:headerWords]
 	payload[0], payload[1], payload[2] = c.id, seq, c.recvNext
 	payload[3], payload[4], payload[5] = ether.Word(awnd), sackLo, sackHi
 	payload[6] = flow
-	copy(payload[headerWords:], data)
+	payload = append(payload, data...)
 	c.ackPending = 0
 	c.ackArmed = false
 	return e.st.Send(ether.Packet{Dst: c.remote, Type: typ, Flow: flow, Payload: payload})
@@ -459,9 +463,9 @@ func (e *Endpoint) sendPacket(c *Conn, typ ether.Word, seq, flow uint16, data []
 // holds: no ack state to report, the window advertisement is the full
 // recvWindow. Used for CloseAcks to reaped connections.
 func (e *Endpoint) sendStateless(to ether.Addr, typ ether.Word, id, flow uint16) error {
-	payload := make([]ether.Word, headerWords)
-	payload[0] = id
-	payload[3] = ether.Word(recvWindow)
+	payload := e.pkt[:headerWords]
+	payload[0], payload[1], payload[2] = id, 0, 0
+	payload[3], payload[4], payload[5] = ether.Word(recvWindow), 0, 0
 	payload[6] = flow
 	return e.st.Send(ether.Packet{Dst: to, Type: typ, Flow: flow, Payload: payload})
 }
