@@ -84,11 +84,11 @@ results:
 
 # bench measures host cost: ns/op and allocs/op of one run of every
 # experiment (E14 at one worker and at eight), then of one iteration of each
-# per-layer rung (a disk op, chain and format; a directory lookup; a wire
-# delivery; a pup exchange; a fleet window). One iteration makes a rung's
-# ns/op rough, but its allocs/op exact. It prints and writes no file; the
+# per-layer rung (a disk op, chain and format; a memory load and store; a
+# directory lookup; a wire delivery; a pup exchange; a fleet window). One
+# iteration makes a rung's ns/op rough, but its allocs/op exact. It prints and writes no file; the
 # simulated results are checked exactly by go test instead.
-BENCH_LAYERS = ./internal/disk ./internal/dir ./internal/ether ./internal/pup ./internal/fleet
+BENCH_LAYERS = ./internal/disk ./internal/mem ./internal/dir ./internal/ether ./internal/pup ./internal/fleet
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . $(BENCH_LAYERS)

@@ -153,6 +153,12 @@ func (s Stats) Revolutions(g Geometry) float64 {
 // a mismatch found on a later read means damage happened outside the
 // label-checked write path. It is bookkeeping for the flight recorder only
 // — detection never changes an operation's outcome.
+//
+// A drive stores only the sectors that differ from a freshly formatted
+// pack. A pristine sector — one nothing has changed since format — is fully
+// determined by its address: header {pack, address}, the free label, the
+// all-ones value, good, and a vcrc of 0 until checksums go live, then the
+// checksum of the all-ones value.
 type sector struct {
 	header [HeaderWords]Word
 	label  [LabelWords]Word
@@ -172,6 +178,9 @@ func valueCRC(v []Word) Word {
 	return c
 }
 
+// onesCRC is the value checksum of a pristine sector once checksums are live.
+var onesCRC = valueCRC(onesValue[:])
+
 // ValueCRC is the drive's per-sector value checksum, exported so higher
 // layers (the cluster audit protocol) fold page contents with exactly the
 // fold the flight recorder verifies — a digest disagreement between replicas
@@ -182,13 +191,27 @@ func ValueCRC(v []Word) Word { return valueCRC(v) }
 // one removable pack. It implements Device. A Drive is safe for concurrent
 // use, although the modelled machine is single-user.
 type Drive struct {
-	mu      sync.Mutex
-	geom    Geometry
-	clock   *sim.Clock
-	pack    Word
-	sectors []sector
-	curCyl  int
-	stats   Stats
+	mu     sync.Mutex
+	geom   Geometry
+	clock  *sim.Clock
+	pack   Word
+	curCyl int
+	stats  Stats
+
+	// slot maps each address to its sector's storage: 0 means the sector
+	// is pristine and has none; k > 0 names store entry k-1. A VDA fits a
+	// word, so a slot does too.
+	slot []uint16
+	// store holds the materialized sectors, in materialization order, in
+	// fixed-size chunks: a chunk never moves, so a *sector into it stays
+	// valid for the drive's lifetime, and a pack that touches a handful of
+	// sectors pays for one small chunk instead of a whole pack. used counts
+	// the entries in use.
+	store []*[chunkSectors]sector
+	used  int
+	// scratch serves reads of pristine sectors: view fills it with the
+	// pristine contents of the address asked for.
+	scratch sector
 
 	// rec is the system's flight recorder; nil means tracing is off and
 	// every emission site pays one branch. The recorder is a lock-order
@@ -240,8 +263,9 @@ var _ Device = (*Drive)(nil)
 
 // NewDrive creates a drive with the given geometry holding a freshly
 // low-level-formatted pack: every sector carries a correct header and the
-// free-page label/value pattern. The clock may be shared with other devices;
-// if nil, a new clock is created.
+// free-page label/value pattern. Every sector starts pristine, so formatting
+// costs one slot table, not a pack's worth of sectors. The clock may be
+// shared with other devices; if nil, a new clock is created.
 func NewDrive(g Geometry, pack Word, clock *sim.Clock) (*Drive, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -249,58 +273,91 @@ func NewDrive(g Geometry, pack Word, clock *sim.Clock) (*Drive, error) {
 	if clock == nil {
 		clock = sim.NewClock()
 	}
-	d := &Drive{
+	return &Drive{
 		geom:             g,
 		clock:            clock,
 		pack:             pack,
-		sectors:          formatted(g.NSectors()),
+		slot:             make([]uint16, g.NSectors()),
 		crashAfterWrites: -1,
-	}
-	for i := range d.sectors {
-		d.sectors[i].header = Header{Pack: pack, Addr: VDA(i)}.Words()
-	}
-	return d, nil
+	}, nil
 }
 
-// formatTemplate is a Diablo31-sized run of freshly formatted sectors: the
-// free label and the all-ones value, with headers left for NewDrive to
-// stamp. It is built once at init and only read after that.
-var formatTemplate = func() []sector {
-	t := make([]sector, Diablo31().NSectors())
-	for i := range t {
-		t[i].label = freeLabelWords
-		t[i].value = onesValue
-	}
-	return t
-}()
+// chunkSectors is the number of sectors in one storage chunk: small enough
+// that a mini-pack touching about ten sectors allocates one chunk of a few
+// kilobytes, large enough that a busy pack's chunk list stays short.
+const chunkSectors = 16
 
-// formatted returns n freshly formatted sectors, copied from the template;
-// NewDrive then stamps each header. Appending into a nil slice allocates
-// without zeroing the new array first, so formatting a pack is one pass
-// over its memory rather than a clear followed by a fill. A pack larger
-// than the template appends it in pieces.
-func formatted(n int) []sector {
-	s := append([]sector(nil), formatTemplate[:min(n, len(formatTemplate))]...)
-	for len(s) < n {
-		s = append(s, formatTemplate[:min(n-len(s), len(formatTemplate))]...)
+// pristine fills s with the sector at addr as formatting left it. d.mu is
+// held.
+func (d *Drive) pristine(s *sector, addr VDA) {
+	s.header = Header{Pack: d.pack, Addr: addr}.Words()
+	s.label = freeLabelWords
+	s.value = onesValue
+	s.vcrc = 0
+	if d.vcrcValid {
+		s.vcrc = onesCRC
 	}
+	s.bad = false
+}
+
+// entry returns store entry i, whose chunk exists. d.mu is held.
+func (d *Drive) entry(i int) *sector {
+	return &d.store[i/chunkSectors][i%chunkSectors]
+}
+
+// view returns the sector at addr for reading: its own storage, or for a
+// pristine sector the scratch sector filled with its contents. A view of a
+// pristine sector is valid only until the next view, and must not be
+// written. d.mu is held and addr is in range.
+func (d *Drive) view(addr VDA) *sector {
+	if k := d.slot[addr]; k != 0 {
+		return d.entry(int(k) - 1)
+	}
+	d.pristine(&d.scratch, addr)
+	return &d.scratch
+}
+
+// mutable returns the sector at addr's own storage, materializing it with
+// its pristine contents first if it has none. Everything that changes a
+// sector goes through here. d.mu is held and addr is in range.
+func (d *Drive) mutable(addr VDA) *sector {
+	if k := d.slot[addr]; k != 0 {
+		return d.entry(int(k) - 1)
+	}
+	if d.used%chunkSectors == 0 {
+		d.store = append(d.store, new([chunkSectors]sector))
+	}
+	s := d.entry(d.used)
+	d.pristine(s, addr)
+	d.used++
+	d.slot[addr] = uint16(d.used)
 	return s
+}
+
+// liveVCRC brings every checksum up to date with the pack as it stands, so
+// later mismatches mean damage after this point. Pristine sectors follow
+// from vcrcValid; only materialized ones need computing. d.mu is held.
+func (d *Drive) liveVCRC() {
+	if d.vcrcValid {
+		return
+	}
+	for i := 0; i < d.used; i++ {
+		s := d.entry(i)
+		s.vcrc = valueCRC(s.value[:])
+	}
+	d.vcrcValid = true
 }
 
 // SetRecorder attaches a flight recorder to the drive (nil detaches). Every
 // layer holding a Device reaches the recorder through TraceRecorder, so the
 // drive is the distribution point for tracing across the storage stack.
+// The first attachment brings every checksum up to date.
 func (d *Drive) SetRecorder(r *trace.Recorder) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.rec = r
-	if r != nil && !d.vcrcValid {
-		// First attachment: bring every checksum up to date with the pack
-		// as it stands, so later mismatches mean post-attachment damage.
-		for i := range d.sectors {
-			d.sectors[i].vcrc = valueCRC(d.sectors[i].value[:])
-		}
-		d.vcrcValid = true
+	if r != nil {
+		d.liveVCRC()
 	}
 }
 
@@ -312,13 +369,7 @@ func (d *Drive) SetRecorder(r *trace.Recorder) {
 func (d *Drive) EnsureVCRC() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.vcrcValid {
-		return
-	}
-	for i := range d.sectors {
-		d.sectors[i].vcrc = valueCRC(d.sectors[i].value[:])
-	}
-	d.vcrcValid = true
+	d.liveVCRC()
 }
 
 // PeekVCRC returns the sector's recorded value checksum without charging
@@ -329,10 +380,10 @@ func (d *Drive) EnsureVCRC() {
 func (d *Drive) PeekVCRC(addr VDA) (Word, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.vcrcValid || int(addr) >= len(d.sectors) {
+	if !d.vcrcValid || int(addr) >= len(d.slot) {
 		return 0, false
 	}
-	return d.sectors[addr].vcrc, true
+	return d.view(addr).vcrc, true
 }
 
 // TraceRecorder implements trace.Source.
@@ -417,24 +468,31 @@ func (d *Drive) Do(op *Op) error {
 
 // do performs the operation proper. d.mu is held.
 func (d *Drive) do(op *Op) error {
-	if int(op.Addr) >= len(d.sectors) {
-		return fmt.Errorf("%w: %d (disk has %d sectors)", ErrAddress, op.Addr, len(d.sectors))
+	if int(op.Addr) >= len(d.slot) {
+		return fmt.Errorf("%w: %d (disk has %d sectors)", ErrAddress, op.Addr, len(d.slot))
 	}
 
 	d.advanceTo(op.Addr)
 
-	s := &d.sectors[op.Addr]
+	// validate has made every write continue through the value, so an op
+	// writes anything exactly when it writes the value.
+	var s *sector
+	if op.Value == Write {
+		s = d.mutable(op.Addr)
+	} else {
+		s = d.view(op.Addr)
+	}
 	if s.bad {
 		return fmt.Errorf("%w: sector %d", ErrBadSector, op.Addr)
 	}
 
-	if err := d.doPart(op.Addr, PartHeader, op.Header, s.header[:], slice2(op.HeaderData)); err != nil {
+	if err := d.doPart(s, op.Addr, PartHeader, op.Header, s.header[:], slice2(op.HeaderData)); err != nil {
 		return err
 	}
-	if err := d.doPart(op.Addr, PartLabel, op.Label, s.label[:], slice7(op.LabelData)); err != nil {
+	if err := d.doPart(s, op.Addr, PartLabel, op.Label, s.label[:], slice7(op.LabelData)); err != nil {
 		return err
 	}
-	return d.doPart(op.Addr, PartValue, op.Value, s.value[:], slice256(op.ValueData))
+	return d.doPart(s, op.Addr, PartValue, op.Value, s.value[:], slice256(op.ValueData))
 }
 
 // Outcome codes carried in a KindDiskOp event's second argument.
@@ -513,8 +571,9 @@ func slice256(p *[PageWords]Word) []Word {
 	return p[:]
 }
 
-// doPart applies one action to one sector part. d.mu is held.
-func (d *Drive) doPart(addr VDA, part Part, a Action, dst, mem []Word) error {
+// doPart applies one action to one part of s, the sector at addr. d.mu is
+// held.
+func (d *Drive) doPart(s *sector, addr VDA, part Part, a Action, dst, mem []Word) error {
 	switch a {
 	case None:
 		return nil
@@ -522,7 +581,7 @@ func (d *Drive) doPart(addr VDA, part Part, a Action, dst, mem []Word) error {
 		d.stats.Reads++
 		copy(mem, dst)
 		if part == PartValue && d.rec != nil {
-			d.checkValueCRC(addr, dst)
+			d.checkValueCRC(s, addr)
 		}
 		return nil
 	case Check:
@@ -542,7 +601,7 @@ func (d *Drive) doPart(addr VDA, part Part, a Action, dst, mem []Word) error {
 			}
 		}
 		if part == PartValue && d.rec != nil {
-			d.checkValueCRC(addr, dst)
+			d.checkValueCRC(s, addr)
 		}
 		return nil
 	case Write:
@@ -583,7 +642,7 @@ func (d *Drive) doPart(addr VDA, part Part, a Action, dst, mem []Word) error {
 		d.stats.Writes++
 		copy(dst, mem)
 		if part == PartValue && d.vcrcValid {
-			d.sectors[addr].vcrc = valueCRC(dst)
+			s.vcrc = valueCRC(dst)
 		}
 		return nil
 	}
@@ -648,8 +707,8 @@ func (d *Drive) advanceTo(addr VDA) {
 // write — and is reported to the recorder only; the read itself still
 // succeeds, exactly as on the real hardware, where such damage surfaces
 // later as inconsistency. d.mu is held and d.rec is known non-nil.
-func (d *Drive) checkValueCRC(addr VDA, dst []Word) {
-	if valueCRC(dst) != d.sectors[addr].vcrc {
+func (d *Drive) checkValueCRC(s *sector, addr VDA) {
+	if valueCRC(s.value[:]) != s.vcrc {
 		d.rec.Emit(d.clock.Now(), trace.KindCRCMismatch, "value", int64(addr), opError)
 		d.rec.Add("disk.crc.mismatch", 1)
 	}
@@ -661,10 +720,10 @@ func (d *Drive) checkValueCRC(addr VDA, dst []Word) {
 func (d *Drive) peek(addr VDA) (sector, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if int(addr) >= len(d.sectors) {
+	if int(addr) >= len(d.slot) {
 		return sector{}, false
 	}
-	return d.sectors[addr], true
+	return *d.view(addr), true
 }
 
 // PeekLabel returns the raw label words of a sector without charging time.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,51 +12,51 @@ import (
 )
 
 // wantFormatted reports the first way d differs from a freshly formatted
-// pack as the drive wrote one sector at a time: header {pack, address},
-// free label, all-ones value, good sector, and a value checksum of crc.
-func wantFormatted(d *Drive, crc Word) error {
-	if len(d.sectors) != d.geom.NSectors() {
-		return fmt.Errorf("%d sectors, geometry has %d", len(d.sectors), d.geom.NSectors())
-	}
-	for i := range d.sectors {
-		s := &d.sectors[i]
+// pack, read through the drive's public paths: every sector reads back with
+// header {pack, address}, the free label and the all-ones value, none is
+// bad, and PeekVCRC reports the all-ones checksum once checksums are live
+// and nothing before.
+func wantFormatted(d *Drive, live bool) error {
+	for i := 0; i < d.Geometry().NSectors(); i++ {
+		addr := VDA(i)
+		var hdr [HeaderWords]Word
+		var lbl [LabelWords]Word
+		var val [PageWords]Word
+		err := d.Do(&Op{Addr: addr, Header: Read, HeaderData: &hdr, Label: Read, LabelData: &lbl, Value: Read, ValueData: &val})
+		crc, ok := d.PeekVCRC(addr)
 		switch {
-		case s.header != Header{Pack: d.pack, Addr: VDA(i)}.Words():
-			return fmt.Errorf("sector %d header %v", i, s.header)
-		case s.label != freeLabelWords:
-			return fmt.Errorf("sector %d label %v", i, s.label)
-		case s.value != onesValue:
+		case err != nil:
+			return fmt.Errorf("sector %d: %v", i, err)
+		case hdr != Header{Pack: d.Pack(), Addr: addr}.Words():
+			return fmt.Errorf("sector %d header %v", i, hdr)
+		case lbl != freeLabelWords:
+			return fmt.Errorf("sector %d label %v", i, lbl)
+		case val != onesValue:
 			return fmt.Errorf("sector %d value is not the free pattern", i)
-		case s.vcrc != crc:
-			return fmt.Errorf("sector %d checksum %#04x, want %#04x", i, s.vcrc, crc)
-		case s.bad:
-			return fmt.Errorf("sector %d marked bad", i)
+		case ok != live || (live && crc != valueCRC(onesValue[:])):
+			return fmt.Errorf("sector %d checksum %#04x (live %v), want live %v", i, crc, ok, live)
 		}
 	}
 	return nil
 }
 
-// TestNewDriveFormat pins format-by-copy to the per-sector format it
-// replaced, on packs smaller than, equal to and larger than the template,
-// for the pack numbers at both ends of the word.
+// TestNewDriveFormat pins a fresh pack to the per-sector format the drive
+// once wrote, on packs of three sizes, for the pack numbers at both ends of
+// the word, before and after checksums go live.
 func TestNewDriveFormat(t *testing.T) {
 	explorer := Geometry{Name: "Explorer48", Cylinders: 24, Heads: 2, SectorsPerTrack: 12,
 		RevTime: 40 * time.Millisecond, SeekSettle: 15 * time.Millisecond, SeekPerCyl: 560 * time.Microsecond}
-	if Trident().NSectors() <= len(formatTemplate) {
-		t.Fatalf("Trident (%d sectors) fits the %d-sector template; the piecewise path goes untested",
-			Trident().NSectors(), len(formatTemplate))
-	}
 	for _, g := range []Geometry{Diablo31(), Trident(), explorer} {
 		for _, pack := range []Word{0, 1, 0xFFFF} {
 			d, err := NewDrive(g, pack, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := wantFormatted(d, 0); err != nil {
+			if err := wantFormatted(d, false); err != nil {
 				t.Errorf("%s pack %d: %v", g.Name, pack, err)
 			}
 			d.SetRecorder(trace.New(16))
-			if err := wantFormatted(d, valueCRC(onesValue[:])); err != nil {
+			if err := wantFormatted(d, true); err != nil {
 				t.Errorf("%s pack %d after SetRecorder: %v", g.Name, pack, err)
 			}
 		}
@@ -77,11 +78,18 @@ func TestNewDriveImageUnchanged(t *testing.T) {
 }
 
 // TestNewDriveDoesNotAlias writes every part of a sector on one fresh drive
-// and requires a second fresh drive, and the template both were copied
-// from, to be untouched.
+// and requires the write to land there only: the written drive's neighbours
+// and a second fresh drive still read as formatted. A buffer filled by
+// reading a pristine sector is the caller's own: scribbling on it changes
+// nothing on the pack.
 func TestNewDriveDoesNotAlias(t *testing.T) {
 	a := newTestDrive(t)
 	b := newTestDrive(t)
+	var scribbled [PageWords]Word
+	if err := a.Do(&Op{Addr: 4, Value: Read, ValueData: &scribbled}); err != nil {
+		t.Fatal(err)
+	}
+	fill(&scribbled, 0x4444)
 	hdr := Header{Pack: 1, Addr: 5}.Words()
 	lbl := testLabel(1).Words()
 	var val [PageWords]Word
@@ -89,16 +97,35 @@ func TestNewDriveDoesNotAlias(t *testing.T) {
 	if err := a.Do(&Op{Addr: 5, Header: Write, HeaderData: &hdr, Label: Write, LabelData: &lbl, Value: Write, ValueData: &val}); err != nil {
 		t.Fatal(err)
 	}
-	if a.sectors[5].value != val {
-		t.Fatal("the write did not land")
+	var got [PageWords]Word
+	if err := ReadValue(a, 5, testLabel(1), &got); err != nil || got != val {
+		t.Fatalf("the write did not land: %v", err)
 	}
-	if err := wantFormatted(b, 0); err != nil {
+	for _, addr := range []VDA{4, 6} {
+		if err := a.Do(&Op{Addr: addr, Value: Read, ValueData: &got}); err != nil || got != onesValue {
+			t.Errorf("written drive's sector %d no longer reads as formatted: %v", addr, err)
+		}
+	}
+	if err := wantFormatted(b, false); err != nil {
 		t.Errorf("second drive: %v", err)
 	}
-	for i := range formatTemplate {
-		if s := &formatTemplate[i]; s.label != freeLabelWords || s.value != onesValue || s.header != [HeaderWords]Word{} {
-			t.Fatalf("template sector %d changed", i)
+}
+
+// TestNewDriveAllocation pins what formatting a Diablo31 pack allocates: a
+// slot table and the drive itself, no sector storage.
+func TestNewDriveAllocation(t *testing.T) {
+	const pinned = 16 << 10
+	const rounds = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		if _, err := NewDrive(Diablo31(), 1, nil); err != nil {
+			t.Fatal(err)
 		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per > pinned {
+		t.Fatalf("NewDrive(Diablo31) allocates %d bytes, pinned at %d", per, pinned)
 	}
 }
 

@@ -54,8 +54,8 @@ func (d *Drive) SaveImage(w io.Writer) error {
 	if err := writeString(bw, d.geom.Name); err != nil {
 		return err
 	}
-	for i := range d.sectors {
-		s := &d.sectors[i]
+	for i := range d.slot {
+		s := d.view(VDA(i))
 		if err := binary.Write(bw, binary.BigEndian, s.header); err != nil {
 			return err
 		}
@@ -113,8 +113,12 @@ func LoadImage(r io.Reader, clock *sim.Clock) (*Drive, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range d.sectors {
-		s := &d.sectors[i]
+	// Loading an image is a disciplined path: each checksum reflects the
+	// value as loaded, so only post-load damage can trip it. A sector the
+	// image holds exactly as formatted stays pristine.
+	d.vcrcValid = true
+	var s sector
+	for i := range d.slot {
 		if err := binary.Read(br, binary.BigEndian, &s.header); err != nil {
 			return nil, fmt.Errorf("%w: sector %d: %v", ErrImage, i, err)
 		}
@@ -129,11 +133,11 @@ func LoadImage(r io.Reader, clock *sim.Clock) (*Drive, error) {
 			return nil, fmt.Errorf("%w: sector %d: %v", ErrImage, i, err)
 		}
 		s.bad = b != 0
-		// Loading an image is a disciplined path: the checksum reflects the
-		// value as loaded, so only post-load damage can trip it.
 		s.vcrc = valueCRC(s.value[:])
+		if s != *d.view(VDA(i)) {
+			*d.mutable(VDA(i)) = s
+		}
 	}
-	d.vcrcValid = true
 	return d, nil
 }
 

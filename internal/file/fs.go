@@ -193,12 +193,22 @@ func (fs *FS) Flush() error {
 }
 
 // flushDescriptor writes the descriptor into file f, growing it as needed.
+// A file longer than the descriptor, which only damage the Scavenger has
+// repaired can leave, is cut back first; truncating frees pages, so the map
+// is encoded again after it.
 func (fs *FS) flushDescriptor(f *File) error {
-	words := func() []disk.Word {
+	encode := func() []disk.Word {
 		fs.mu.Lock()
 		defer fs.mu.Unlock()
 		return fs.desc.EncodeWords()
-	}()
+	}
+	words := encode()
+	if last := disk.Word(len(words)/disk.PageWords) + 1; f.lastPN > last {
+		if err := f.Truncate(last, len(words)%disk.PageWords*2); err != nil {
+			return fmt.Errorf("file: cutting back descriptor: %w", err)
+		}
+		words = encode()
+	}
 	var page [disk.PageWords]disk.Word
 	pn := disk.Word(1)
 	for off := 0; off < len(words); off += disk.PageWords {

@@ -236,7 +236,7 @@ func (c *Conn) RecvFlow() ([]ether.Word, int64, bool) {
 		return nil, 0, false
 	}
 	m := c.recvQ[0]
-	c.recvQ = c.recvQ[1:]
+	c.recvQ = dropFront(c.recvQ, 1)
 	return m.data, int64(m.flow), true
 }
 
@@ -446,8 +446,8 @@ func (c *Conn) handleData(seq, flow uint16, data []ether.Word) error {
 		delivered := 1
 		for len(c.oooSeq) > 0 && c.oooSeq[0] == c.recvNext {
 			c.recvQ = append(c.recvQ, c.ooo[0])
-			c.ooo = c.ooo[1:]
-			c.oooSeq = c.oooSeq[1:]
+			c.ooo = dropFront(c.ooo, 1)
+			c.oooSeq = dropFront(c.oooSeq, 1)
 			c.recvNext++
 			delivered++
 		}
@@ -517,14 +517,14 @@ func (c *Conn) handleAckInfo(ack uint16, awnd int, sackLo, sackHi ether.Word) er
 
 	popped := 0
 	sample := time.Duration(-1)
-	for len(c.sendQ) > 0 && seqLess(c.sendQ[0].seq, ack) {
-		op := c.sendQ[0]
+	for popped < len(c.sendQ) && seqLess(c.sendQ[popped].seq, ack) {
+		op := &c.sendQ[popped]
 		if op.rexmits == 0 {
 			sample = now - op.sentAt
 		}
-		c.sendQ = c.sendQ[1:]
 		popped++
 	}
+	c.sendQ = dropFront(c.sendQ, popped)
 
 	// Mark SACKed survivors: bit i covers ack+1+i.
 	mask := [2]ether.Word{sackLo, sackHi}
@@ -765,4 +765,18 @@ func backoff(rto, maxRTO time.Duration) time.Duration {
 		rto = maxRTO
 	}
 	return rto
+}
+
+// dropFront removes q's first n entries by moving the rest down in place,
+// so the queue keeps its backing array and a steady stream of pushes and
+// pops allocates nothing. Every queue it serves is bounded by a window of
+// at most sackSpan entries, so the move is short. The vacated tail is
+// zeroed so it pins no payload.
+func dropFront[T any](q []T, n int) []T {
+	if n == 0 {
+		return q
+	}
+	k := copy(q, q[n:])
+	clear(q[k:])
+	return q[:k]
 }

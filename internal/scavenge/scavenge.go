@@ -54,6 +54,7 @@ type Report struct {
 	PagesFreed        int
 	LinksRepaired     int
 	LeadersRepaired   int
+	LengthsRepaired   int // page lengths beyond a page cut back to full
 	TailPagesAdded    int // empty pages appended to restore the invariant
 	RootRecreated     bool
 	DescRecreated     bool
@@ -372,6 +373,10 @@ func (s *scavenger) sweep(emit func(pageInfo) error) error {
 			switch {
 			case disk.IsFreeLabel(raw):
 				continue // free: stays free in the map
+			case displacesDescriptor(addr, raw):
+				if err := s.freeRaw(addr, raw); err != nil {
+					return err
+				}
 			case disk.IsBadLabel(raw):
 				s.report.RetiredPages++
 				s.free.SetBusy(addr)
@@ -388,6 +393,22 @@ func (s *scavenger) sweep(emit func(pageInfo) error) error {
 		}
 	}
 	return nil
+}
+
+// displacesDescriptor reports whether the in-use or retired label raw,
+// found at addr, stands where the descriptor's leader must be or claims to
+// be that leader somewhere else. The leader has one home: Mount reads the
+// file system from DescLeaderVDA and nowhere else, so any other label there
+// is damage to that sector, and a descriptor leader anywhere else is a copy
+// Mount can never find. The sweep frees such a sector, leaving the leader's
+// home to the descriptor, found there or rebuilt there.
+func displacesDescriptor(addr disk.VDA, raw [disk.LabelWords]disk.Word) bool {
+	lbl := disk.LabelFromWords(raw)
+	leader := lbl.FID == disk.DescriptorFID && lbl.PageNum == 0
+	if addr == file.DescLeaderVDA {
+		return !leader || lbl.Version != 1
+	}
+	return leader
 }
 
 // freeRaw releases a sector whose current label words are raw: check the
@@ -439,8 +460,8 @@ func (s *scavenger) relabelRaw(p *pageInfo, newLbl disk.Label) error {
 func (s *scavenger) allocFresh(lbl disk.Label, v *[disk.PageWords]disk.Word) (disk.VDA, error) {
 	for i := 0; i < s.free.Len(); i++ {
 		a := disk.VDA(i)
-		if s.free.Busy(a) || s.reserved[a] {
-			continue
+		if s.free.Busy(a) || s.reserved[a] || a == file.DescLeaderVDA {
+			continue // the descriptor leader's home is never a new page
 		}
 		s.free.SetBusy(a)
 		err := s.dsk.Allocate(s.dev, a, lbl, v)
@@ -537,6 +558,20 @@ func (s *scavenger) fixOneGroup(fv disk.FV, pages []*pageInfo) error {
 			return err
 		}
 		s.report.LeadersRepaired++
+	}
+
+	// A page holds at most PageBytes: a longer count is damage to the
+	// label's length field, and the page's words are all there, so it is
+	// full. (The short-interior rule above already took it as full.)
+	for _, p := range pages[1:] {
+		if p.length > disk.PageBytes {
+			lbl := disk.LabelFromWords(p.raw)
+			lbl.Length = disk.PageBytes
+			if err := s.relabelRaw(p, lbl); err != nil {
+				return err
+			}
+			s.report.LengthsRepaired++
+		}
 	}
 
 	// Restore "the last page is partial": a leader-only file gets an empty
@@ -717,9 +752,11 @@ func (s *scavenger) rebuildSystem() (*file.FS, *dir.Directory, error) {
 	fs := file.Adopt(s.dev, desc, descFN)
 
 	if descFN == (file.FN{}) {
+		// The sweep left the leader's home free unless the sector cannot be
+		// read, and a descriptor anywhere else would never mount.
 		at := file.DescLeaderVDA
 		if s.free.Busy(at) {
-			at = disk.NilVDA
+			return nil, nil, fmt.Errorf("scavenge: descriptor leader sector %d is unusable", at)
 		}
 		f, err := fs.CreateWithFV(disk.FV{FID: disk.DescriptorFID, Version: 1}, "DiskDescriptor.", at)
 		if err != nil {
